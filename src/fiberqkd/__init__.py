@@ -53,14 +53,7 @@ from .keyrate import (
     rate_vs_loss_curve,
     secure_key_length,
 )
-from .polarization import (
-    Basis,
-    Bb84State,
-    misalignment_error,
-    phase_to_state,
-    rotate,
-    stokes_of,
-)
+from .polarization import Bb84State, phase_to_state, rotate, stokes_of
 from .protocol import (
     AliceSettings,
     DeviceParams,
@@ -72,7 +65,6 @@ from .protocol import (
     SlotRecord,
     closed_form_rates,
     expected_rates,
-    prepare_pulse,
     run_session,
     sift,
     transmit_and_measure,

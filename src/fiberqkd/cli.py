@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .config import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario, pla
 from .emitter import fit_g2_cw, pulsed_g2
 from .errors import FitConvergenceError, ValidationError
 from .keyrate import (
-    SecurityParams,
-    gllp_asymptotic_rate,
     key_analysis_document,
     load_key_analysis,
     optimize_basis_probability,
@@ -43,7 +42,7 @@ from .keyrate import (
     secure_key_length,
 )
 from .polarization import stokes_of
-from .protocol import PatternSource, closed_form_rates, expected_rates, run_session
+from .protocol import PatternSource, expected_rates, run_session
 
 BUNDLED_TALLIES = ("tally-deployed-optimized", "tally-deployed-balanced", "tally-spool")
 
@@ -124,18 +123,11 @@ def _load_tally(source):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = scenario.config
-    if args.window_s is not None or args.pattern is not None:
-        from dataclasses import replace
-
-        alice = config.alice
-        if args.pattern is not None:
-            pattern = PatternSource.from_file(args.pattern, args.pattern_format)
-            alice = type(alice)(p_key=alice.p_key, pattern=pattern)
-        config = replace(
-            config,
-            alice=alice,
-            window_s=args.window_s if args.window_s is not None else config.window_s,
-        )
+    if args.pattern is not None:
+        pattern = PatternSource.from_file(args.pattern, args.pattern_format)
+        config = replace(config, alice=replace(config.alice, pattern=pattern))
+    if args.window_s is not None:
+        config = replace(config, window_s=args.window_s)
     result = run_session(config, args.pulses, seed=args.seed)
     model = expected_rates(config)
     sift = result.sift
@@ -349,17 +341,7 @@ def cmd_rate_curve(args) -> int:
     duration = args.duration if args.duration is not None else scenario.duration_s
 
     def model_at(loss_db: float):
-        return closed_form_rates(
-            device=cfg.device,
-            stats=cfg.stats,
-            channel_loss_db=loss_db,
-            e_pol_da=inputs["e_pol_da"],
-            e_pol_lr=inputs["e_pol_lr"],
-            p_da=cfg.alice.p_key if cfg.key_basis == "DA" else cfg.alice.p_check,
-            bob_split=cfg.bob_split,
-            key_basis=cfg.key_basis,
-            detection_scale=cfg.detection_scale,
-        )
+        return cfg.rate_model(inputs["e_pol_da"], inputs["e_pol_lr"], channel_loss_db=loss_db)
 
     grid = np.linspace(args.loss_min, args.loss_max, args.points)
     rows = rate_vs_loss_curve(

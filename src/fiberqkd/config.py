@@ -16,7 +16,7 @@ statistics untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from scipy.optimize import brentq
@@ -25,13 +25,7 @@ from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthes
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
 from .keyrate import SecurityParams, sent_multiphoton_probability
-from .protocol import (
-    AliceSettings,
-    DeviceParams,
-    SessionConfig,
-    closed_form_rates,
-    expected_rates,
-)
+from .protocol import AliceSettings, DeviceParams, SessionConfig, expected_rates
 
 BUNDLED_SCENARIOS = ("deployed-3p5km", "spool-32p5km")
 
@@ -44,14 +38,13 @@ class Scenario:
     config: SessionConfig
     security: SecurityParams
     duration_s: float
-    mu_source: float
     raw: dict
 
     @property
     def p_multi_sent(self) -> float:
         """Multi-photon probability of pulses leaving the transmitter."""
         return sent_multiphoton_probability(
-            self.mu_source, self.config.stats.g2_zero, self.config.device.alice_loss_db
+            self.config.stats.mu, self.config.stats.g2_zero, self.config.device.alice_loss_db
         )
 
 
@@ -104,17 +97,7 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     scale_max = 1.0 / (base * device.detector_efficiency)
 
     def gap(scale: float) -> float:
-        m = closed_form_rates(
-            device=device,
-            stats=config.stats,
-            channel_loss_db=loss,
-            e_pol_da=model.e_pol_da,
-            e_pol_lr=model.e_pol_lr,
-            p_da=config.alice.p_key if config.key_basis == "DA" else config.alice.p_check,
-            bob_split=config.bob_split,
-            key_basis=config.key_basis,
-            detection_scale=scale,
-        )
+        m = config.rate_model(model.e_pol_da, model.e_pol_lr, detection_scale=scale)
         return m.sifted_bps - target_bps
 
     if gap(scale_max) < 0.0:
@@ -175,24 +158,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     target = calibration.get("sifted_rate_target_bps")
     if target is not None:
         scale = _solve_detection_scale(config, float(target))
-        config = SessionConfig(
-            device=device,
-            stats=stats,
-            spectrum=spectrum,
-            channel=channel,
-            alice=alice,
-            bob_split=config.bob_split,
-            key_basis=config.key_basis,
-            double_click_policy=config.double_click_policy,
-            detection_scale=scale,
-            window_s=config.window_s,
-        )
+        config = replace(config, detection_scale=scale)
     return Scenario(
         name=name,
         config=config,
         security=security,
         duration_s=float(doc.get("duration_s", 3600.0)),
-        mu_source=stats.mu,
         raw=doc,
     )
 

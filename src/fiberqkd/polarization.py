@@ -102,24 +102,6 @@ def rotate_rows(points: np.ndarray, axis: np.ndarray, angles) -> np.ndarray:
     return points * c + np.cross(a[None, :], points) * s + a[None, :] * (dots * (1.0 - c[..., 0]))[..., None]
 
 
-def misalignment_error(state, reference) -> float:
-    """Wrong-port probability when ``state`` hits an analyzer set for ``reference``.
-
-    The analyzer ports are antipodal on the sphere, so the error is
-    ``(1 - state . reference) / 2``, clipped into [0, 1] against rounding.
-    """
-    s = require_unit(state, "state")
-    r = require_unit(reference, "reference")
-    return float(np.clip(0.5 * (1.0 - s @ r), 0.0, 1.0))
-
-
-def angle_between(a, b) -> float:
-    """Angle in radians between two unit vectors."""
-    u = require_unit(a, "a")
-    v = require_unit(b, "b")
-    return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
-
-
 def perpendicular_unit(vec) -> np.ndarray:
     """Some unit vector perpendicular to ``vec``."""
     v = require_unit(vec, "vector")
@@ -174,46 +156,5 @@ class Bb84State:
         return np.array(self.stokes)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A measurement basis given by two antipodal protocol states.
-
-    ``zero`` is the state encoding bit 0, ``one`` the state encoding bit 1.
-    ``role`` marks how sifted bits from this basis are used downstream,
-    either "key" or "check".
-    """
-
-    label: str
-    zero: str
-    one: str
-    role: str = "key"
-
-    def __post_init__(self):
-        if self.label not in BASIS_STATES:
-            raise ValidationError(f"unknown basis label {self.label!r}")
-        if (self.zero, self.one) != BASIS_STATES[self.label]:
-            raise ValidationError(
-                f"basis {self.label} must pair states {BASIS_STATES[self.label]}"
-            )
-        if self.role not in ("key", "check"):
-            raise ValidationError(f"basis role must be 'key' or 'check', got {self.role!r}")
-
-    def states(self) -> tuple[Bb84State, Bb84State]:
-        return Bb84State.from_label(self.zero), Bb84State.from_label(self.one)
-
-
 PROTOCOL_STATES = {label: Bb84State.from_label(label) for label in MODULATOR_PHASE}
 
-
-def basis_of_state(label: str) -> str:
-    """Basis label ("DA" or "LR") a protocol state belongs to."""
-    for basis, pair in BASIS_STATES.items():
-        if label in pair:
-            return basis
-    raise ValidationError(f"not a protocol state: {label!r}")
-
-
-def bit_of_state(label: str) -> int:
-    """Bit value a protocol state encodes within its basis."""
-    basis = basis_of_state(label)
-    return BASIS_STATES[basis].index(label)

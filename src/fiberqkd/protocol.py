@@ -7,7 +7,9 @@ arm of a splitter and is projected onto that arm's basis, so four detectors
 named after the outcome states D, A, L and R report clicks. Dark counts fire
 independently on every detector each slot. Slots with exactly one click in
 the transmitter's basis survive sifting; double clicks follow a configurable
-policy and cross-basis coincidences are always discarded.
+policy and cross-basis coincidences are always discarded. ``classify`` is the
+only place these sifting rules live: ``run_session`` and the offline ``sift``
+both call it.
 
 ``run_session`` is a chunked vectorized Monte Carlo over slots with a fixed
 draw order, so a seed pins the whole session byte for byte.
@@ -30,10 +32,10 @@ from .polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_
 
 _CHUNK = 1_000_000
 
-# Detector index -> (basis label, bit); follows DETECTOR_ORDER = D, A, L, R.
-_DET_BASIS = ("DA", "DA", "LR", "LR")
-_DET_BIT = (0, 1, 0, 1)
 _BASIS_LABELS = ("DA", "LR")
+_BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
+_DETECTOR_FLAG = {det: 1 << i for i, det in enumerate(DETECTOR_ORDER)}
+_FLAGS = np.array(list(_DETECTOR_FLAG.values()))
 
 DOUBLE_CLICK_POLICIES = ("discard", "random")
 
@@ -177,6 +179,35 @@ class SessionConfig:
     def check_basis(self) -> str:
         return "LR" if self.key_basis == "DA" else "DA"
 
+    @property
+    def p_da(self) -> float:
+        """Probability that the transmitter prepares a DA-basis state."""
+        return self.alice.p_key if self.key_basis == "DA" else self.alice.p_check
+
+    def rate_model(
+        self,
+        e_pol_da: float,
+        e_pol_lr: float,
+        *,
+        channel_loss_db: float | None = None,
+        detection_scale: float | None = None,
+    ) -> "RateModel":
+        """Closed-form rates of this link for given per-basis misalignment errors.
+
+        Channel loss and detection scale default to the configuration's own.
+        """
+        return closed_form_rates(
+            device=self.device,
+            stats=self.stats,
+            channel_loss_db=self.channel.loss_db if channel_loss_db is None else channel_loss_db,
+            e_pol_da=e_pol_da,
+            e_pol_lr=e_pol_lr,
+            p_da=self.p_da,
+            bob_split=self.bob_split,
+            key_basis=self.key_basis,
+            detection_scale=self.detection_scale if detection_scale is None else detection_scale,
+        )
+
 
 @dataclass(frozen=True)
 class SlotRecord:
@@ -281,71 +312,68 @@ class SessionResult:
     truncated: bool = False
 
 
-class _Tally:
-    """Mutable sift counters shared by the engine and the offline sifter."""
-
-    __slots__ = (
-        "n_pulses",
-        "n_detections",
-        "n_double",
-        "n_cross",
-        "n_mismatch",
-        "kept",
-        "errors",
-    )
-
-    def __init__(self):
-        self.n_pulses = 0
-        self.n_detections = 0
-        self.n_double = 0
-        self.n_cross = 0
-        self.n_mismatch = 0
-        self.kept = {"DA": 0, "LR": 0}
-        self.errors = {"DA": 0, "LR": 0}
-
-    def result(self, key_basis: str) -> SiftResult:
-        return SiftResult(
-            n_pulses=self.n_pulses,
-            n_detections=self.n_detections,
-            n_double_discarded=self.n_double,
-            n_cross_discarded=self.n_cross,
-            n_basis_mismatch=self.n_mismatch,
-            kept_da=self.kept["DA"],
-            errors_da=self.errors["DA"],
-            kept_lr=self.kept["LR"],
-            errors_lr=self.errors["LR"],
-            key_basis=key_basis,
-        )
+# Outcome codes of one clicked slot; the engine and the offline sifter both
+# count them per transmitter basis in a vector of _N_OUTCOMES * 2 bins. The
+# two codes of sifted slots come first, so ``code <= ERROR`` means kept.
+KEPT, ERROR, MISMATCH, DOUBLE, CROSS = range(5)
+_N_OUTCOMES = CROSS + 1
 
 
-def _classify_multiclick(
-    detections: Sequence[str],
-    alice_basis: str,
-    alice_bit: int,
+def classify(
+    alice_basis: np.ndarray,
+    bits: np.ndarray,
+    clicks: np.ndarray,
     policy: str,
     rng: np.random.Generator | None,
-    tally: _Tally,
-) -> None:
-    """Apply the sifting rules to a slot with two or more clicks."""
-    bases = {d: _DET_BASIS[DETECTOR_ORDER.index(d)] for d in detections}
-    present = set(bases.values())
-    if len(present) > 1:
-        tally.n_cross += 1
-        return
-    basis = next(iter(present))
-    # Both detectors of one basis fired.
+) -> np.ndarray:
+    """Sifting rules: one outcome code per clicked slot.
+
+    ``alice_basis`` holds 0 for DA and 1 for LR, ``bits`` the encoded bits and
+    ``clicks`` an (m, 4) boolean matrix in ``DETECTOR_ORDER`` with at least
+    one click per row. A single click in the transmitter's basis is KEPT or
+    an ERROR, one in the other basis a MISMATCH, and clicks in both bases are
+    CROSS. Both detectors of one basis give DOUBLE under the ``discard``
+    policy; under ``random`` they count as a click in that basis whose bit is
+    drawn from ``rng``, one draw per such slot in Alice's basis, in row order.
+    """
+    if policy not in DOUBLE_CLICK_POLICIES:
+        raise ValidationError(f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}")
+    in_da = clicks[:, 0] | clicks[:, 1]
+    in_lr = clicks[:, 2] | clicks[:, 3]
+    cross = in_da & in_lr
+    double = (clicks[:, 0] & clicks[:, 1] | clicks[:, 2] & clicks[:, 3]) & ~cross
+    out = np.where(np.argmax(clicks, axis=1) % 2 == bits, KEPT, ERROR)
+    out[in_lr != (alice_basis == 1)] = MISMATCH
     if policy == "discard":
-        tally.n_double += 1
-        return
-    if rng is None:
-        raise ValidationError("random double-click policy needs a random generator")
-    if basis != alice_basis:
-        tally.n_mismatch += 1
-        return
-    bit = int(rng.integers(0, 2))
-    tally.kept[basis] += 1
-    if bit != alice_bit:
-        tally.errors[basis] += 1
+        out[double] = DOUBLE
+    elif double.any():
+        if rng is None:
+            raise ValidationError("random double-click policy needs a random generator")
+        drawn = np.flatnonzero(double & (out != MISMATCH))
+        out[drawn] = np.where(rng.integers(0, 2, size=drawn.size) == bits[drawn], KEPT, ERROR)
+    out[cross] = CROSS
+    return out
+
+
+def _tally(alice_basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Counts of outcome x transmitter basis, flattened with basis fastest."""
+    return np.bincount(2 * outcomes + alice_basis, minlength=2 * _N_OUTCOMES)
+
+
+def _sift_result(counts: np.ndarray, n_pulses: int, key_basis: str) -> SiftResult:
+    c = counts.reshape(_N_OUTCOMES, 2)
+    return SiftResult(
+        n_pulses=int(n_pulses),
+        n_detections=int(c.sum()),
+        n_double_discarded=int(c[DOUBLE].sum()),
+        n_cross_discarded=int(c[CROSS].sum()),
+        n_basis_mismatch=int(c[MISMATCH].sum()),
+        kept_da=int(c[KEPT, 0] + c[ERROR, 0]),
+        errors_da=int(c[ERROR, 0]),
+        kept_lr=int(c[KEPT, 1] + c[ERROR, 1]),
+        errors_lr=int(c[ERROR, 1]),
+        key_basis=key_basis,
+    )
 
 
 def sift(
@@ -360,13 +388,10 @@ def sift(
     """Offline sifting of paired transmitter and receiver records.
 
     Records are (slot, basis, bit) and (slot, detector labels); slot ids must
-    match pairwise. Slots with no click are ignored, single clicks in the
-    matching basis are kept, cross-basis coincidences dropped, and same-basis
-    double clicks follow ``policy``. ``n_pulses`` defaults to the record
-    count, which is only right when every slot is present.
+    match pairwise. Slots with no click are ignored and the clicked ones go
+    through :func:`classify`. ``n_pulses`` defaults to the record count,
+    which is only right when every slot is present.
     """
-    if policy not in DOUBLE_CLICK_POLICIES:
-        raise ValidationError(f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}")
     if key_basis not in BASIS_STATES:
         raise ValidationError(f"unknown key basis {key_basis!r}")
     alice = list(alice_records)
@@ -375,43 +400,34 @@ def sift(
         raise ValidationError("transmitter and receiver record counts differ")
     if n_pulses is not None and n_pulses < len(alice):
         raise ValidationError("n_pulses cannot undercount the supplied records")
-    tally = _Tally()
-    tally.n_pulses = len(alice) if n_pulses is None else int(n_pulses)
+    bases: list[int] = []
+    bits: list[int] = []
+    masks: list[int] = []
     for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
         if slot_a != slot_b:
             raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
-        if basis not in BASIS_STATES:
+        basis_idx = _BASIS_INDEX.get(basis)
+        if basis_idx is None:
             raise ValidationError(f"unknown basis label {basis!r}")
-        dets = tuple(detections)
-        if not dets:
-            continue
-        tally.n_detections += 1
-        if len(dets) > 1:
-            _classify_multiclick(dets, basis, bit, policy, rng, tally)
-            continue
-        det = dets[0]
-        idx = DETECTOR_ORDER.index(det)
-        bob_basis = _DET_BASIS[idx]
-        if bob_basis != basis:
-            tally.n_mismatch += 1
-            continue
-        tally.kept[basis] += 1
-        if _DET_BIT[idx] != bit:
-            tally.errors[basis] += 1
-    return tally.result(key_basis)
-
-
-def prepare_pulse(alice: AliceSettings, rng: np.random.Generator) -> tuple[str, int]:
-    """Draw one slot's basis label and bit (basis first, then bit)."""
-    if alice.pattern is not None:
-        basis_idx, bits = alice.pattern.take(1)
-        return _BASIS_LABELS[int(basis_idx[0])], int(bits[0])
-    basis = "DA" if rng.random() < _da_probability(alice) else "LR"
-    return basis, int(rng.integers(0, 2))
-
-
-def _da_probability(alice: AliceSettings, key_basis: str = "DA") -> float:
-    return alice.p_key if key_basis == "DA" else alice.p_check
+        if bit not in (0, 1):
+            raise ValidationError(f"slot {slot_a}: bit must be 0 or 1, got {bit!r}")
+        mask = 0
+        for det in detections:
+            flag = _DETECTOR_FLAG.get(det, 0)
+            if not flag or flag & mask:
+                raise ValidationError(
+                    f"slot {slot_a}: unknown or repeated detector label in {detections!r}"
+                )
+            mask |= flag
+        if mask:
+            bases.append(basis_idx)
+            bits.append(bit)
+            masks.append(mask)
+    alice_basis = np.array(bases, dtype=np.int64)
+    clicks = (np.array(masks, dtype=np.int64)[:, None] & _FLAGS) != 0
+    outcomes = classify(alice_basis, np.array(bits, dtype=np.int64), clicks, policy, rng)
+    counts = _tally(alice_basis, outcomes)
+    return _sift_result(counts, len(alice) if n_pulses is None else n_pulses, key_basis)
 
 
 def transmit_and_measure(
@@ -467,7 +483,6 @@ def run_session(
     rng = np.random.default_rng(seed)
     device = config.device
     p_surv = survival_probability(device, config.channel.loss_db, config.detection_scale)
-    p_da = _da_probability(config.alice, config.key_basis)
 
     truncated = False
     pattern = config.alice.pattern
@@ -483,30 +498,26 @@ def run_session(
     win_sifted = np.zeros(n_windows, dtype=np.int64)
     win_errors = np.zeros(n_windows, dtype=np.int64)
 
-    tally = _Tally()
-    tally.n_pulses = n_pulses
+    counts = np.zeros(2 * _N_OUTCOMES, dtype=np.int64)
     records: list[SlotRecord] = []
 
     zero_da = stokes_of("D")
     zero_lr = stokes_of("L")
+    # state index 0..3 = D, A, L, R
+    stokes_table = np.array([PROTOCOL_STATES[lbl].vector for lbl in DETECTOR_ORDER])
 
     for start in range(0, n_pulses, _CHUNK):
         m = min(_CHUNK, n_pulses - start)
         if pattern is not None:
             basis_idx, bits = pattern.take(m)
         else:
-            basis_idx = (rng.random(m) >= p_da).astype(np.int64)  # 0 = DA, 1 = LR
+            basis_idx = (rng.random(m) >= config.p_da).astype(np.int64)  # 0 = DA, 1 = LR
             bits = rng.integers(0, 2, size=m)
         n_photons = sample_photon_number(config.stats, rng, m)
         arrive1 = (rng.random(m) < p_surv) & (n_photons >= 1)
         arrive2 = (rng.random(m) < p_surv) & (n_photons >= 2)
 
-        # state index 0..3 = D, A, L, R
         state_idx = np.where(basis_idx == 0, bits, 2 + bits)
-        stokes_table = np.array(
-            [PROTOCOL_STATES[lbl].vector for lbl in DETECTOR_ORDER]
-        )
-
         clicks = np.zeros((m, 4), dtype=bool)
         for arrived in (arrive1, arrive2):
             idx = np.flatnonzero(arrived)
@@ -529,55 +540,20 @@ def run_session(
         if device.dark_prob > 0.0:
             clicks |= rng.random((m, 4)) < device.dark_prob
 
-        n_clicks = clicks.sum(axis=1)
-        clicked = np.flatnonzero(n_clicks > 0)
-        tally.n_detections += int(clicked.size)
-
-        single = np.flatnonzero(n_clicks == 1)
-        det_single = np.argmax(clicks[single], axis=1)
-        bob_basis_idx = det_single // 2
-        match = bob_basis_idx == basis_idx[single]
-        tally.n_mismatch += int(np.count_nonzero(~match))
-        kept_slots = single[match]
-        kept_det = det_single[match]
-        kept_basis = kept_det // 2
-        err = (kept_det % 2) != bits[kept_slots]
-        for b, lbl in enumerate(_BASIS_LABELS):
-            sel = kept_basis == b
-            tally.kept[lbl] += int(np.count_nonzero(sel))
-            tally.errors[lbl] += int(np.count_nonzero(err & sel))
+        clicked = np.flatnonzero(clicks.any(axis=1))
+        slot_basis = basis_idx[clicked]
+        outcomes = classify(
+            slot_basis, bits[clicked], clicks[clicked], config.double_click_policy, rng
+        )
+        counts += _tally(slot_basis, outcomes)
 
         if n_windows > 0:
-            win_idx = (start + kept_slots) // window_pulses
+            kept = outcomes <= ERROR
+            win_idx = (start + clicked[kept]) // window_pulses
             in_win = win_idx < n_windows
-            np.add.at(win_sifted, win_idx[in_win], 1)
-            np.add.at(win_errors, win_idx[in_win], err[in_win].astype(np.int64))
-
-        multi = np.flatnonzero(n_clicks > 1)
-        multi_kept: list[tuple[int, int, bool]] = []
-        for i in multi:
-            dets = tuple(DETECTOR_ORDER[d] for d in np.flatnonzero(clicks[i]))
-            before = dict(tally.kept)
-            before_err = dict(tally.errors)
-            _classify_multiclick(
-                dets,
-                _BASIS_LABELS[int(basis_idx[i])],
-                int(bits[i]),
-                config.double_click_policy,
-                rng,
-                tally,
-            )
-            if n_windows > 0:
-                for lbl in _BASIS_LABELS:
-                    dk = tally.kept[lbl] - before[lbl]
-                    if dk:
-                        de = tally.errors[lbl] - before_err[lbl]
-                        multi_kept.append((start + int(i), dk, bool(de)))
-        for slot, dk, had_err in multi_kept:
-            w = slot // window_pulses
-            if w < n_windows:
-                win_sifted[w] += dk
-                win_errors[w] += int(had_err)
+            wrong = in_win & (outcomes[kept] == ERROR)
+            win_sifted += np.bincount(win_idx[in_win], minlength=n_windows)
+            win_errors += np.bincount(win_idx[wrong], minlength=n_windows)
 
         if record_slots:
             for i in clicked:
@@ -601,7 +577,7 @@ def run_session(
         for i in range(n_windows)
     )
     return SessionResult(
-        sift=tally.result(config.key_basis),
+        sift=_sift_result(counts, n_pulses, config.key_basis),
         windows=windows,
         records=tuple(records) if record_slots else None,
         n_pulses=n_pulses,
@@ -722,14 +698,4 @@ def expected_rates(config: SessionConfig, n_qber_samples: int = 201) -> RateMode
             for lbl in pair
         ]
         e_pol[basis] = 0.5 * (values[0] + values[1])
-    return closed_form_rates(
-        device=config.device,
-        stats=config.stats,
-        channel_loss_db=config.channel.loss_db,
-        e_pol_da=e_pol["DA"],
-        e_pol_lr=e_pol["LR"],
-        p_da=_da_probability(config.alice, config.key_basis),
-        bob_split=config.bob_split,
-        key_basis=config.key_basis,
-        detection_scale=config.detection_scale,
-    )
+    return config.rate_model(e_pol["DA"], e_pol["LR"])

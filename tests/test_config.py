@@ -41,7 +41,7 @@ def test_deployed_scenario_calibration():
     """
     scn = load_scenario("deployed-3p5km")
     assert scn.duration_s == 25200.0
-    assert scn.mu_source == pytest.approx(4.19e-4)
+    assert scn.config.stats.mu == pytest.approx(4.19e-4)
     assert scn.config.detection_scale == pytest.approx(3.286419121578675, rel=1e-9)
     model = expected_rates(scn.config)
     assert model.sifted_bps == pytest.approx(1349.6, rel=1e-9)

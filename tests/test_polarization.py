@@ -1,4 +1,4 @@
-"""Stokes-space primitives: state table, rotations, overlap arithmetic."""
+"""Stokes-space primitives: state table and rotations."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,7 @@ from fiberqkd.polarization import (
     DETECTOR_ORDER,
     MODULATOR_PHASE,
     PROTOCOL_STATES,
-    Basis,
     Bb84State,
-    angle_between,
-    basis_of_state,
-    bit_of_state,
-    misalignment_error,
-    normalize,
     perpendicular_unit,
     phase_to_state,
     random_unit,
@@ -68,14 +62,7 @@ def test_bb84state_and_basis_dataclasses():
     st = Bb84State.from_label("L")
     assert st.phase == pytest.approx(np.pi / 2)
     assert np.allclose(st.stokes, (0.0, 0.0, 1.0))
-    assert basis_of_state("L") == "LR"
-    assert bit_of_state("A") == 1
-    assert bit_of_state("D") == 0
     assert PROTOCOL_STATES["D"] == Bb84State.from_label("D")
-    key = Basis(label="DA", zero="D", one="A")
-    assert key.zero == "D" and key.one == "A"
-    with pytest.raises(ValidationError):
-        Basis(label="DA", zero="D", one="L")
 
 
 def test_rotate_right_handed_convention():
@@ -110,22 +97,6 @@ def test_rotate_rows_matches_scalar_rotation():
     rows = rotate_rows(pts, axis, angles)
     for i in range(8):
         assert np.allclose(rows[i], rotate(pts[i], axis, angles[i]), atol=1e-12)
-
-
-def test_misalignment_error_extremes():
-    d = stokes_of("D")
-    assert misalignment_error(d, d) == pytest.approx(0.0, abs=1e-15)
-    assert misalignment_error(d, -d) == pytest.approx(1.0, abs=1e-15)
-    # orthogonal Stokes vectors sit halfway between the projector outcomes
-    assert misalignment_error(d, stokes_of("L")) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_angle_between_is_clipped_and_symmetric():
-    a = normalize(np.array([1.0, 1e-9, 0.0]))
-    assert angle_between(a, a) == 0.0
-    assert angle_between(a, -a) == pytest.approx(np.pi)
-    b = stokes_of("L")
-    assert angle_between(a, b) == pytest.approx(angle_between(b, a))
 
 
 def test_rotation_taking_generic_and_antiparallel():

@@ -1,19 +1,27 @@
 """Session engine: patterns, sifting rules, closed-form rates, Monte Carlo."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from fiberqkd.channel import FiberChannel, FiberSegment, synthesize_channel
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics
 from fiberqkd.errors import PatternExhaustedError, ValidationError
+from fiberqkd.polarization import BASIS_STATES, DETECTOR_ORDER
 from fiberqkd.protocol import (
+    CROSS,
+    DOUBLE,
+    ERROR,
+    KEPT,
+    MISMATCH,
     AliceSettings,
     DeviceParams,
     PatternSource,
     SessionConfig,
+    classify,
     closed_form_rates,
     expected_rates,
-    prepare_pulse,
     run_session,
     sift,
     survival_probability,
@@ -77,13 +85,6 @@ def test_pattern_from_file_formats(tmp_path):
     assert basis.tolist() == [1, 1, 0, 0]
     with pytest.raises(ValidationError):
         PatternSource.from_file(hex_path, fmt="morse")
-
-
-def test_prepare_pulse_follows_pattern():
-    alice = AliceSettings(p_key=0.5, pattern=PatternSource.from_hex("B1"))
-    rng = np.random.default_rng(0)
-    drawn = [prepare_pulse(alice, rng) for _ in range(4)]
-    assert drawn == [("LR", 0), ("LR", 1), ("DA", 0), ("DA", 1)]
 
 
 def test_alice_settings_validation():
@@ -198,6 +199,56 @@ def test_sift_validation():
         sift(shuffled, BOB)
     with pytest.raises(ValidationError):
         sift(ALICE, BOB, n_pulses=4)  # fewer pulses than records
+    for alice, bob in (
+        ([(0, "DA", 0)], [(0, ("X",))]),  # unknown detector label
+        ([(0, "DA", 0)], [(0, ("D", "D"))]),  # one detector reported twice
+        ([(0, "DA", 7)], [(0, ("D",))]),  # bit outside {0, 1}
+    ):
+        with pytest.raises(ValidationError):
+            sift(alice, bob)
+
+
+# Largest sets first, so a stray draw on a 3- or 4-click slot shifts the bits
+# drawn for the same-basis doubles after it.
+CLICK_SETS = [c for k in (4, 3, 2, 1) for c in combinations(DETECTOR_ORDER, k)]
+
+
+def sifting_rule(detections, basis, bit, policy, draw):
+    """The sifting rules written out for one slot, one detector at a time."""
+    bob_bases = {b for b, pair in BASIS_STATES.items() for d in detections if d in pair}
+    if len(bob_bases) > 1:
+        return CROSS
+    (bob_basis,) = bob_bases
+    if len(detections) == 2:  # both detectors of one basis
+        if policy == "discard":
+            return DOUBLE
+        if bob_basis != basis:
+            return MISMATCH
+        bob_bit = draw()
+    elif bob_basis != basis:
+        return MISMATCH
+    else:
+        bob_bit = BASIS_STATES[basis].index(detections[0])
+    return KEPT if bob_bit == bit else ERROR
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+def test_classify_covers_every_click_set(policy):
+    rows = list(product(CLICK_SETS, ("DA", "LR"), (0, 1)))
+    assert len(rows) == 15 * 2 * 2
+    alice_basis = np.array([0 if b == "DA" else 1 for _, b, _ in rows])
+    bits = np.array([bit for _, _, bit in rows])
+    clicks = np.array([[d in dets for d in DETECTOR_ORDER] for dets, _, _ in rows])
+    got = classify(alice_basis, bits, clicks, policy, np.random.default_rng(4))
+    # the classifier draws one bit per resolved double, in row order
+    reference = np.random.default_rng(4)
+    want = [sifting_rule(dets, basis, bit, policy, lambda: int(reference.integers(0, 2)))
+            for dets, basis, bit in rows]
+    assert got.tolist() == want
+    assert set(want) >= {KEPT, ERROR, MISMATCH, CROSS}
+    if policy == "random":
+        with pytest.raises(ValidationError):
+            classify(alice_basis, bits, clicks, policy, None)
 
 
 def test_sift_n_pulses_override():
@@ -355,6 +406,22 @@ def test_run_session_windows():
     assert all(w.window_s == pytest.approx(0.004) for w in result.windows)
     assert sum(w.n_sifted for w in result.windows) <= result.sift.n_sifted
     assert [w.index for w in result.windows] == [0, 1]
+
+
+def test_run_session_windows_tile_random_policy_session():
+    noisy = DeviceParams(rep_rate_hz=1e6, detector_efficiency=0.5,
+                         dark_prob=0.2, intrinsic_error=0.0)
+    config = SessionConfig(device=noisy, stats=PhotonStatistics(mu=0.5, g2_zero=0.0),
+                           spectrum=narrow_spectrum(), channel=flat_channel(loss_db=3.0),
+                           double_click_policy="random", window_s=0.002)
+    result = run_session(config, 10_000, seed=2, record_slots=True)
+    # five 2000-slot windows cover every slot, so they hold every kept slot
+    assert len(result.windows) == 5
+    assert sum(w.n_sifted for w in result.windows) == result.sift.n_sifted
+    assert sum(w.n_errors for w in result.windows) == (
+        result.sift.errors_da + result.sift.errors_lr)
+    resolved = [r for r in result.records if r.detections == BASIS_STATES[r.alice_basis]]
+    assert len(resolved) > 100  # same-basis doubles kept through the random policy
 
 
 def test_run_session_pattern_truncation():
