@@ -11,8 +11,11 @@ policy and cross-basis coincidences are always discarded. ``classify`` is the
 only place these sifting rules live: ``run_session`` and the offline ``sift``
 both call it.
 
-``run_session`` is a chunked vectorized Monte Carlo over slots with a fixed
-draw order, so a seed pins the whole session byte for byte.
+``run_session`` is an event-driven Monte Carlo: geometric gaps skip the
+slots where nothing clicks, and only the clicked slots are drawn, in
+vectorized batches with a fixed draw order, so a seed pins the whole
+session byte for byte. ``transmit_and_measure`` is a scalar single-slot
+path kept apart from it as an independent reference.
 ``expected_rates`` gives the matching closed-form detection, sifting and
 error rates used for calibration and for optimizer objectives.
 """
@@ -30,7 +33,8 @@ from .emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
 from .errors import PatternExhaustedError, ValidationError
 from .polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_of
 
-_CHUNK = 1_000_000
+# Clicked slots handled per batch of gaps; bounds the engine's memory.
+_EVENT_CHUNK = 1 << 18
 
 _BASIS_LABELS = ("DA", "LR")
 _BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
@@ -117,17 +121,21 @@ class PatternSource:
     def remaining_pairs(self) -> int:
         return (self._bits.size - self._cursor) // 2
 
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next ``n`` (basis, value) pairs; raises when the pattern runs out."""
+    def take_pairs(self, n: int) -> np.ndarray:
+        """Next ``n`` pairs as an (n, 2) view of the pattern bits, basis first.
+
+        Raises when the pattern runs out. The view copies nothing, so a
+        session can read just the pairs of the slots that click.
+        """
         if n < 0:
             raise ValidationError("cannot take a negative number of pairs")
         if n > self.remaining_pairs:
             raise PatternExhaustedError(
                 f"pattern has {self.remaining_pairs} pairs left, {n} requested"
             )
-        chunk = self._bits[self._cursor : self._cursor + 2 * n]
+        pairs = self._bits[self._cursor : self._cursor + 2 * n].reshape(n, 2)
         self._cursor += 2 * n
-        return chunk[0::2].astype(np.int64), chunk[1::2].astype(np.int64)
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -463,6 +471,16 @@ def transmit_and_measure(
     return SlotRecord(slot=slot, alice_basis=basis, alice_bit=bit, detections=ordered)
 
 
+def _category(rng: np.random.Generator, weights, size: int) -> np.ndarray:
+    """Index of the category each of ``size`` draws falls in, given its weights.
+
+    Bounds are normalized by division, so a zero-weight last category gets a
+    bound of exactly one and a uniform below one never reaches it.
+    """
+    cum = np.cumsum(weights)
+    return np.searchsorted(cum[:-1] / cum[-1], rng.random(size), side="right")
+
+
 def run_session(
     config: SessionConfig,
     n_pulses: int,
@@ -471,26 +489,42 @@ def run_session(
 ) -> SessionResult:
     """Simulate a session of ``n_pulses`` clock slots.
 
-    Vectorized in chunks with a fixed per-chunk draw order (basis, bit,
-    photon number, two arrival uniforms, wavelengths and measurement draws
-    for first then second photons, dark counts, then double-click
-    resolutions), so results are reproducible for a given seed. Only clicked
-    slots are recorded when ``record_slots`` is on. Time windows cover
-    ``config.window_s`` each; the trailing partial window is dropped.
+    Event driven: only slots with at least one click are drawn. Each slot has
+    five independent sources, the dark counts of D, A, L and R and the signal
+    (at least one photon arrives). Geometric gaps give the next slot where
+    any of them fires. In that slot the first source to fire, in that order,
+    is drawn from its share of the click probability: the sources before it
+    are off and the ones after it are drawn unconditionally. A signal that
+    fires first draws which of its photons arrived: the first, the second or
+    both. This is exact in distribution.
+
+    Draws come in a fixed order, so a seed pins the session byte for byte.
+    Per batch of gaps: the gaps, then per event basis and bit (unless a
+    pattern is replayed), the first source, four dark uniforms, the photon
+    number and two arrival uniforms of events whose signal is drawn
+    unconditionally, the arrival pattern of signal-first events, wavelengths
+    and measurement draws for first then second photons, then double-click
+    resolutions. Only clicked slots are recorded when ``record_slots`` is on.
+    Time windows cover ``config.window_s`` each; the trailing partial window
+    is dropped.
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
     rng = np.random.default_rng(seed)
     device = config.device
-    p_surv = survival_probability(device, config.channel.loss_db, config.detection_scale)
+    stats = config.stats
+    t = survival_probability(device, config.channel.loss_db, config.detection_scale)
 
     truncated = False
+    pairs = None
     pattern = config.alice.pattern
-    if pattern is not None and pattern.remaining_pairs < n_pulses:
-        n_pulses = pattern.remaining_pairs
-        truncated = True
-        if n_pulses == 0:
-            raise PatternExhaustedError("pattern has no pairs left")
+    if pattern is not None:
+        if pattern.remaining_pairs < n_pulses:
+            n_pulses = pattern.remaining_pairs
+            truncated = True
+            if n_pulses == 0:
+                raise PatternExhaustedError("pattern has no pairs left")
+        pairs = pattern.take_pairs(n_pulses)
 
     window_pulses = int(round(config.window_s * device.rep_rate_hz))
     window_pulses = max(window_pulses, 1)
@@ -506,25 +540,60 @@ def run_session(
     # state index 0..3 = D, A, L, R
     stokes_table = np.array([PROTOCOL_STATES[lbl].vector for lbl in DETECTOR_ORDER])
 
-    for start in range(0, n_pulses, _CHUNK):
-        m = min(_CHUNK, n_pulses - start)
-        if pattern is not None:
-            basis_idx, bits = pattern.take(m)
-        else:
-            basis_idx = (rng.random(m) >= config.p_da).astype(np.int64)  # 0 = DA, 1 = LR
-            bits = rng.integers(0, 2, size=m)
-        n_photons = sample_photon_number(config.stats, rng, m)
-        arrive1 = (rng.random(m) < p_surv) & (n_photons >= 1)
-        arrive2 = (rng.random(m) < p_surv) & (n_photons >= 2)
+    # Arrival patterns of the signal: first photon only, second only, both.
+    arrivals = (
+        stats.p_single * t + stats.p_multi * t * (1.0 - t),
+        stats.p_multi * (1.0 - t) * t,
+        stats.p_multi * t * t,
+    )
+    dark = device.dark_prob
+    # Probability that each source is the first of the five to fire.
+    first_weights = [dark * (1.0 - dark) ** j for j in range(4)]
+    first_weights.append((1.0 - dark) ** 4 * sum(arrivals))
+    p_any = min(sum(first_weights), 1.0)  # the sum can round just past one
+    detector = np.arange(4)
 
-        state_idx = np.where(basis_idx == 0, bits, 2 + bits)
-        clicks = np.zeros((m, 4), dtype=bool)
+    last = -1  # slot of the last event drawn
+    while p_any > 0.0 and last < n_pulses - 1:
+        mean = (n_pulses - 1 - last) * p_any
+        size = int(min(mean + 6.0 * math.sqrt(mean) + 16.0, _EVENT_CHUNK))
+        # Gaps that reach past the session end are clipped to a length that
+        # still does, so the cumulative sum cannot wrap around.
+        gaps = np.minimum(rng.geometric(p_any, size), n_pulses + 1)
+        slots = last + np.cumsum(gaps)
+        last = slots[-1]
+        slots = slots[: np.searchsorted(slots, n_pulses)]
+        k = slots.size
+        if k == 0:
+            break
+
+        if pairs is not None:
+            basis_idx, bits = pairs[slots].T.astype(np.int64)
+        else:
+            basis_idx = (rng.random(k) >= config.p_da).astype(np.int64)  # 0 = DA, 1 = LR
+            bits = rng.integers(0, 2, size=k)
+        # Sources before the first are off; the darks after it and a signal
+        # that is not first are drawn unconditionally.
+        first = _category(rng, first_weights, k)
+        after = detector > first[:, None]
+        clicks = (detector == first[:, None]) | after & (rng.random((k, 4)) < dark)
+
+        arrive1 = np.zeros(k, dtype=bool)
+        arrive2 = np.zeros(k, dtype=bool)
+        free = np.flatnonzero(first < 4)
+        n_photons = sample_photon_number(stats, rng, free.size)
+        arrive1[free] = (rng.random(free.size) < t) & (n_photons >= 1)
+        arrive2[free] = (rng.random(free.size) < t) & (n_photons >= 2)
+        fired = np.flatnonzero(first == 4)
+        if fired.size:
+            arrival = _category(rng, arrivals, fired.size)
+            arrive1[fired] = arrival != 1
+            arrive2[fired] = arrival != 0
+
+        state_idx = 2 * basis_idx + bits
         for arrived in (arrive1, arrive2):
             idx = np.flatnonzero(arrived)
             if idx.size == 0:
-                # Keep the draw order aligned across chunks regardless of
-                # arrivals: zero-size draws consume nothing, which is fine
-                # because the order only matters within what is drawn.
                 continue
             lam = config.spectrum.sample(rng, idx.size)
             out = apply_channel_rows(stokes_table[state_idx[idx]], config.channel, lam)
@@ -537,30 +606,23 @@ def run_session(
             det = np.where(in_da, meas_bit, 2 + meas_bit)
             clicks[idx, det] = True
 
-        if device.dark_prob > 0.0:
-            clicks |= rng.random((m, 4)) < device.dark_prob
-
-        clicked = np.flatnonzero(clicks.any(axis=1))
-        slot_basis = basis_idx[clicked]
-        outcomes = classify(
-            slot_basis, bits[clicked], clicks[clicked], config.double_click_policy, rng
-        )
-        counts += _tally(slot_basis, outcomes)
+        outcomes = classify(basis_idx, bits, clicks, config.double_click_policy, rng)
+        counts += _tally(basis_idx, outcomes)
 
         if n_windows > 0:
             kept = outcomes <= ERROR
-            win_idx = (start + clicked[kept]) // window_pulses
+            win_idx = slots[kept] // window_pulses
             in_win = win_idx < n_windows
             wrong = in_win & (outcomes[kept] == ERROR)
             win_sifted += np.bincount(win_idx[in_win], minlength=n_windows)
             win_errors += np.bincount(win_idx[wrong], minlength=n_windows)
 
         if record_slots:
-            for i in clicked:
+            for i in range(k):
                 dets = tuple(DETECTOR_ORDER[d] for d in np.flatnonzero(clicks[i]))
                 records.append(
                     SlotRecord(
-                        slot=start + int(i),
+                        slot=int(slots[i]),
                         alice_basis=_BASIS_LABELS[int(basis_idx[i])],
                         alice_bit=int(bits[i]),
                         detections=dets,

@@ -296,7 +296,7 @@ def test_channel_ensemble_statistics():
 
 def test_monte_carlo_matches_closed_forms():
     t0 = time.monotonic()
-    n = 10_000_000
+    n = 10_000_000_000
     for name in BUNDLED_SCENARIOS:
         scn = load_scenario(name)
         model = expected_rates(scn.config)

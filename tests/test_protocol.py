@@ -1,9 +1,11 @@
 """Session engine: patterns, sifting rules, closed-form rates, Monte Carlo."""
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from fiberqkd.channel import FiberChannel, FiberSegment, synthesize_channel
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics
@@ -55,18 +57,20 @@ def test_pattern_from_hex_bit_order():
     # 0xB1 = 10110001: pairs (1,0) (1,1) (0,0) (0,1), basis bit first
     pat = PatternSource.from_hex("B1")
     assert pat.remaining_pairs == 4
-    basis, value = pat.take(4)
-    assert basis.tolist() == [1, 1, 0, 0]
-    assert value.tolist() == [0, 1, 0, 1]
+    pairs = pat.take_pairs(4)
+    assert pairs[:, 0].tolist() == [1, 1, 0, 0]
+    assert pairs[:, 1].tolist() == [0, 1, 0, 1]
 
 
 def test_pattern_take_and_exhaustion():
     pat = PatternSource.from_hex("FF 00")
-    first, _ = pat.take(5)
+    assert pat.take_pairs(5).shape == (5, 2)
     assert pat.remaining_pairs == 3
-    pat.take(3)
+    pat.take_pairs(3)
     with pytest.raises(PatternExhaustedError):
-        pat.take(1)
+        pat.take_pairs(1)
+    with pytest.raises(ValidationError):
+        pat.take_pairs(-1)
     with pytest.raises(ValidationError):
         PatternSource.from_hex("XYZ")
     with pytest.raises(ValidationError):
@@ -81,8 +85,7 @@ def test_pattern_from_file_formats(tmp_path):
     bin_path = tmp_path / "pattern.bin"
     bin_path.write_bytes(bytes([0xB1]))
     pat = PatternSource.from_file(bin_path)  # suffix selects binary mode
-    basis, value = pat.take(4)
-    assert basis.tolist() == [1, 1, 0, 0]
+    assert pat.take_pairs(4)[:, 0].tolist() == [1, 1, 0, 0]
     with pytest.raises(ValidationError):
         PatternSource.from_file(hex_path, fmt="morse")
 
@@ -431,6 +434,109 @@ def test_run_session_pattern_truncation():
     assert result.truncated
     assert result.n_pulses == 1_000
     assert result.sift.n_pulses == 1_000
+
+
+def test_run_session_without_sources_draws_no_events():
+    config = ideal_config(stats=PhotonStatistics(mu=0.0, g2_zero=0.0))
+    # nothing can fire, so there is no gap to draw (geometric(0) would raise)
+    result = run_session(config, 1_000_000, seed=1, record_slots=True)
+    assert result.sift.n_detections == 0 and result.records == ()
+    assert result.windows == ()
+    windowed = run_session(replace(config, window_s=0.1), 1_000_000, seed=1)
+    assert len(windowed.windows) == 10
+    assert all(w.n_sifted == 0 for w in windowed.windows)
+
+
+def test_run_session_dark_only_link():
+    device = DeviceParams(rep_rate_hz=1e6, detector_efficiency=0.5,
+                          dark_prob=1e-3, intrinsic_error=0.0)
+    config = ideal_config(device=device, stats=PhotonStatistics(mu=0.0, g2_zero=0.0))
+    n = 1_000_000
+    result = run_session(config, n, seed=4)
+    model = closed_form_rates(device, config.stats, channel_loss_db=0.0)
+    p = model.p_det
+    assert abs(result.sift.n_detections - n * p) < 4.0 * np.sqrt(n * p * (1.0 - p))
+    kept = result.sift.n_sifted
+    errors = result.sift.errors_da + result.sift.errors_lr
+    assert abs(errors - 0.5 * kept) < 4.0 * np.sqrt(0.25 * kept)
+
+
+def test_run_session_when_every_slot_clicks():
+    # these probabilities sum to one plus one rounding step
+    device = DeviceParams(rep_rate_hz=1e6, detector_efficiency=1.0,
+                          dark_prob=0.9998946799017371, intrinsic_error=0.0)
+    config = ideal_config(device=device, stats=PhotonStatistics(mu=0.999, g2_zero=0.0))
+    result = run_session(config, 1_000, seed=3, record_slots=True)
+    assert [r.slot for r in result.records] == list(range(1_000))
+
+
+def test_run_session_paper_length_rare_events():
+    # 25,200 s at 80 MHz is 1,260 windows of 20 s; slots pass 2**31 early on
+    device = DeviceParams(rep_rate_hz=80e6, detector_efficiency=0.5,
+                          dark_prob=1e-10, intrinsic_error=0.01)
+    config = SessionConfig(device=device, stats=PhotonStatistics(mu=4e-9, g2_zero=0.3),
+                           spectrum=narrow_spectrum(), channel=flat_channel(),
+                           window_s=20.0)
+    n = 2_016_000_000_000
+    result = run_session(config, n, seed=8, record_slots=True)
+    assert len(result.windows) == 1260 and result.windows[-1].index == 1259
+    assert sum(w.n_sifted for w in result.windows) == result.sift.n_sifted
+    slots = np.array([r.slot for r in result.records])
+    assert np.all(np.diff(slots) > 0) and slots[0] >= 0 and slots[-1] < n
+    assert slots[-1] > 2**40
+    p = config.rate_model(0.0, 0.0).p_det
+    assert abs(result.sift.n_detections - n * p) < 5.0 * np.sqrt(n * p)
+
+
+def test_run_session_pattern_bits_follow_slots():
+    data = np.random.default_rng(12).integers(0, 256, size=5_000, dtype=np.uint8).tobytes()
+    pairs = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).reshape(-1, 2)
+    pattern = PatternSource(data)
+    config = ideal_config(stats=PhotonStatistics(mu=0.3, g2_zero=0.0),
+                          channel=flat_channel(loss_db=3.0),
+                          alice=AliceSettings(pattern=pattern))
+    result = run_session(config, 15_000, seed=6, record_slots=True)
+    assert not result.truncated and pattern.remaining_pairs == pairs.shape[0] - 15_000
+    assert len(result.records) > 1_000
+    for rec in result.records:
+        basis, bit = pairs[rec.slot]
+        assert (rec.alice_basis, rec.alice_bit) == (("DA", "LR")[basis], bit)
+
+
+def _outcome_table(records, policy, rng):
+    """Outcome x basis counts of recorded clicked slots, basis fastest."""
+    alice_basis = np.array([0 if r.alice_basis == "DA" else 1 for r in records])
+    bits = np.array([r.alice_bit for r in records])
+    clicks = np.array([[d in r.detections for d in DETECTOR_ORDER] for r in records])
+    codes = classify(alice_basis, bits, clicks, policy, rng)
+    return np.bincount(2 * codes + alice_basis, minlength=10)
+
+
+@pytest.mark.parametrize("dark_prob, policy, scalar_slots", [
+    (0.2, "random", 15_000),  # heavy darks: most events start with a dark count
+    (0.02, "discard", 40_000),  # signal click about 4x dark: both kinds of event common
+])
+def test_run_session_outcomes_match_scalar_reference(dark_prob, policy, scalar_slots):
+    device = DeviceParams(rep_rate_hz=1e6, detector_efficiency=0.5,
+                          dark_prob=dark_prob, intrinsic_error=0.02)
+    config = SessionConfig(device=device, stats=PhotonStatistics(mu=0.5, g2_zero=0.3),
+                           spectrum=EmitterSpectrum(center_nm=1310.0, fwhm_nm=7.0,
+                                                    shape="gaussian"),
+                           channel=flat_channel(loss_db=5.0, dgd_ps=0.3),
+                           double_click_policy=policy)
+    engine = run_session(config, 200_000, seed=21, record_slots=True)
+    rng = np.random.default_rng(22)
+    scalar = []
+    for slot in range(scalar_slots):
+        basis = "DA" if rng.random() < 0.5 else "LR"
+        rec = transmit_and_measure(basis, int(rng.integers(0, 2)), config, rng, slot)
+        if rec.detections:
+            scalar.append(rec)
+    table = np.array([_outcome_table(engine.records, policy, np.random.default_rng(23)),
+                      _outcome_table(scalar, policy, np.random.default_rng(24))])
+    table = table[:, table.sum(axis=0) > 0]
+    assert table.shape[1] >= 8
+    assert chi2_contingency(table).pvalue > 1e-3
 
 
 def test_double_click_policies_differ_under_heavy_darks():
