@@ -66,7 +66,7 @@ class FiberSegment:
 
     def __post_init__(self):
         require_unit(self.axis, "segment axis")
-        if self.dgd_ps < 0.0:
+        if not self.dgd_ps >= 0.0:
             raise ValidationError("segment delay must be non-negative")
 
 
@@ -80,11 +80,11 @@ class FiberChannel:
     reference_nm: float
 
     def __post_init__(self):
-        if self.loss_db < 0.0:
+        if not self.loss_db >= 0.0:
             raise ValidationError("loss must be non-negative")
-        if self.length_km <= 0.0:
+        if not self.length_km > 0.0:
             raise ValidationError("length must be positive")
-        if self.reference_nm <= 0.0:
+        if not self.reference_nm > 0.0:
             raise ValidationError("reference wavelength must be positive")
 
     @property
@@ -149,7 +149,7 @@ def synthesize_channel(
     performs a 3-d random walk whose RMS length is ``pmd_param * sqrt(length)``
     independent of the segment count.
     """
-    if pmd_param_ps_per_sqrt_km < 0.0:
+    if not pmd_param_ps_per_sqrt_km >= 0.0:
         raise ValidationError("PMD parameter must be non-negative")
     if n_segments < 1:
         raise ValidationError("need at least one segment")
@@ -360,20 +360,31 @@ def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201) 
     also the output at the reference wavelength) and the wrong-port
     probability is integrated against the emitter's spectral density with a
     trapezoid rule on a uniform grid.
+
+    ``state`` is one Stokes vector or a (k, 3) stack of them. A stack goes
+    through the channel in one pass, each state keeps its own quadrature, and
+    the mean of the k errors is returned.
     """
     if n_samples < 201:
         raise ValidationError("quadrature needs at least 201 samples")
-    s = require_unit(state, "state")
+    states = [require_unit(s, "state") for s in np.atleast_2d(np.asarray(state, dtype=float))]
+    if not states:
+        raise ValidationError("need at least one state")
     lo, hi = spectrum.support()
     lam = np.linspace(lo, hi, n_samples)
     weights = spectrum.density(lam)
-    rows = apply_channel_rows(np.tile(s, (n_samples, 1)), channel, lam)
-    err = 0.5 * (1.0 - rows @ s)
+    rows = apply_channel_rows(
+        np.repeat(states, n_samples, axis=0), channel, np.tile(lam, len(states))
+    )
     total = np.trapezoid(weights, lam)
     if total <= 0.0:
         raise ValidationError("spectral density integrates to zero on its support")
-    value = np.trapezoid(weights * err, lam) / total
-    return float(np.clip(value, 0.0, 1.0))
+    values = []
+    for s, out in zip(states, np.split(rows, len(states))):
+        err = 0.5 * (1.0 - out @ s)
+        value = np.trapezoid(weights * err, lam) / total
+        values.append(np.clip(value, 0.0, 1.0))
+    return float(np.mean(values))
 
 
 def write_trajectory_csv(path, points: Sequence[TrajectoryPoint]) -> None:

@@ -42,7 +42,7 @@ from .keyrate import (
     secure_key_length,
 )
 from .polarization import stokes_of
-from .protocol import PatternSource, expected_rates, run_session
+from .protocol import PatternSource, run_session
 
 BUNDLED_TALLIES = ("tally-deployed-optimized", "tally-deployed-balanced", "tally-spool")
 
@@ -129,7 +129,8 @@ def cmd_simulate(args) -> int:
     if args.window_s is not None:
         config = replace(config, window_s=args.window_s)
     result = run_session(config, args.pulses, seed=args.seed)
-    model = expected_rates(config)
+    # The pattern and window overrides leave the closed-form rates unchanged.
+    model = scenario.rate_model
     sift = result.sift
     doc = {
         "scenario": scenario.name,

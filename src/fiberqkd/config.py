@@ -16,7 +16,8 @@ statistics untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 
 from scipy.optimize import brentq
@@ -25,7 +26,7 @@ from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthes
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
 from .keyrate import SecurityParams, sent_multiphoton_probability
-from .protocol import AliceSettings, DeviceParams, SessionConfig, expected_rates
+from .protocol import AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates
 
 BUNDLED_SCENARIOS = ("deployed-3p5km", "spool-32p5km")
 
@@ -39,6 +40,21 @@ class Scenario:
     security: SecurityParams
     duration_s: float
     raw: dict
+    # Per-basis misalignment errors (DA, LR) already computed while loading.
+    e_pol: tuple[float, float] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def rate_model(self) -> RateModel:
+        """Closed-form rates of this link, computed at most once per scenario.
+
+        A calibrated scenario reuses the misalignment errors of its
+        detection-scale solve, which do not depend on the scale; any other
+        scenario runs the quadrature on first use, so commands that never
+        read the model never pay for it.
+        """
+        if self.e_pol is None:
+            return expected_rates(self.config)
+        return self.config.rate_model(*self.e_pol)
 
     @property
     def p_multi_sent(self) -> float:
@@ -86,9 +102,14 @@ def _build_channel(doc: dict) -> FiberChannel:
     return channel
 
 
-def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
-    """Detection-scale factor that reproduces a measured sifted rate."""
-    if target_bps <= 0.0:
+def _solve_detection_scale(
+    config: SessionConfig, target_bps: float
+) -> tuple[float, tuple[float, float]]:
+    """Detection-scale factor that reproduces a measured sifted rate.
+
+    Also returns the per-basis misalignment errors (DA, LR) the solve used.
+    """
+    if not target_bps > 0.0:
         raise ValidationError("sifted-rate target must be positive")
     model = expected_rates(config)
     device = config.device
@@ -108,7 +129,8 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
         raise ValidationError(
             f"sifted-rate target {target_bps} bps sits below the dark-count floor"
         )
-    return float(brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14))
+    scale = float(brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14))
+    return scale, (model.e_pol_da, model.e_pol_lr)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -156,8 +178,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     calibration = doc.get("calibration", {})
     target = calibration.get("sifted_rate_target_bps")
+    e_pol = None
     if target is not None:
-        scale = _solve_detection_scale(config, float(target))
+        scale, e_pol = _solve_detection_scale(config, float(target))
         config = replace(config, detection_scale=scale)
     return Scenario(
         name=name,
@@ -165,6 +188,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         security=security,
         duration_s=float(doc.get("duration_s", 3600.0)),
         raw=doc,
+        e_pol=e_pol,
     )
 
 
@@ -196,7 +220,7 @@ def load_scenario(source) -> Scenario:
 
 def planning_inputs(scenario: Scenario) -> dict:
     """Closed-form quantities used by the optimizer and rate curves."""
-    model = expected_rates(scenario.config)
+    model = scenario.rate_model
     cfg = scenario.config
     bob_key_share = cfg.bob_split if cfg.key_basis == "DA" else 1.0 - cfg.bob_split
     return {

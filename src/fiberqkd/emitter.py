@@ -39,7 +39,7 @@ class EmitterSpectrum:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.center_nm <= 0.0 or self.fwhm_nm <= 0.0:
+        if not (self.center_nm > 0.0 and self.fwhm_nm > 0.0):
             raise ValidationError("center and FWHM must be positive")
         if self.shape not in SPECTRUM_SHAPES:
             raise ValidationError(f"unknown spectrum shape {self.shape!r}")

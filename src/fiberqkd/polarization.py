@@ -93,13 +93,22 @@ def rotate_rows(points: np.ndarray, axis: np.ndarray, angles) -> np.ndarray:
     ``points`` is (n, 3), ``axis`` a single unit 3-vector, ``angles`` scalar
     or length n. No renormalization; callers that chain many segments should
     renormalize once at the end.
+
+    The cross product ``a x p`` is written out per component, which skips
+    ``np.cross``'s axis handling and gives the same bits.
     """
     a = require_unit(axis, "axis")
     ang = np.asarray(angles, dtype=float)
-    c = np.cos(ang)[..., None]
-    s = np.sin(ang)[..., None]
-    dots = points @ a
-    return points * c + np.cross(a[None, :], points) * s + a[None, :] * (dots * (1.0 - c[..., 0]))[..., None]
+    c = np.cos(ang)
+    s = np.sin(ang)
+    k = (points @ a) * (1.0 - c)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    a0, a1, a2 = a
+    out = np.empty(points.shape)
+    out[:, 0] = x * c + (a1 * z - a2 * y) * s + a0 * k
+    out[:, 1] = y * c + (a2 * x - a0 * z) * s + a1 * k
+    out[:, 2] = z * c + (a0 * y - a1 * x) * s + a2 * k
+    return out
 
 
 def perpendicular_unit(vec) -> np.ndarray:

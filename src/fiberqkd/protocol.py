@@ -178,7 +178,7 @@ class SessionConfig:
             raise ValidationError(
                 f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}"
             )
-        if self.window_s <= 0.0:
+        if not self.window_s > 0.0:
             raise ValidationError("window length must be positive")
         # Fails early when losses, efficiency and scale are inconsistent.
         survival_probability(self.device, self.channel.loss_db, self.detection_scale)
@@ -748,16 +748,18 @@ def expected_rates(config: SessionConfig, n_qber_samples: int = 201) -> RateMode
     """Closed-form rates for a full session configuration.
 
     Polarization error rates per basis come from the spectrally averaged
-    channel misalignment of each basis state.
+    channel misalignment of the basis's two states, which share one pass
+    through the channel. They are not exact antipodes in floating point
+    (A sits at (0, -1, 1.2e-16) from the modulator phase pi), so each keeps
+    its own quadrature and the basis error is their mean.
     """
-    e_pol = {}
-    for basis in _BASIS_LABELS:
-        pair = BASIS_STATES[basis]
-        values = [
-            qber_from_pmd(
-                PROTOCOL_STATES[lbl].vector, config.channel, config.spectrum, n_qber_samples
-            )
-            for lbl in pair
-        ]
-        e_pol[basis] = 0.5 * (values[0] + values[1])
+    e_pol = {
+        basis: qber_from_pmd(
+            [PROTOCOL_STATES[lbl].vector for lbl in BASIS_STATES[basis]],
+            config.channel,
+            config.spectrum,
+            n_qber_samples,
+        )
+        for basis in _BASIS_LABELS
+    }
     return config.rate_model(e_pol["DA"], e_pol["LR"])

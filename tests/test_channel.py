@@ -24,9 +24,9 @@ from fiberqkd.channel import (
     trajectory_csv_text,
     write_trajectory_csv,
 )
-from fiberqkd.emitter import EmitterSpectrum
+from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
-from fiberqkd.polarization import perpendicular_unit, random_unit, stokes_of
+from fiberqkd.polarization import PROTOCOL_STATES, perpendicular_unit, random_unit, stokes_of
 
 
 def single_segment(dgd_ps=0.117, axis=(1.0, 0.0, 0.0), reference_nm=1310.0):
@@ -241,6 +241,35 @@ def test_qber_sample_floor():
     spec = EmitterSpectrum(center_nm=1310.0, fwhm_nm=7.0, shape="gaussian")
     with pytest.raises(ValidationError):
         qber_from_pmd(stokes_of("D"), ch, spec, n_samples=50)
+
+
+@pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
+def test_qber_equal_for_antipodal_states(shape):
+    """Exact antipodes leave the channel as exact negations, so their errors are equal."""
+    spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape=shape)
+    for seed in range(5):
+        ch = synthesize_channel(0.3, 10.0, 20, seed=seed, reference_nm=1309.5)
+        for a, b in (("D", "A"), ("L", "R"), ("H", "V")):
+            assert qber_from_pmd(stokes_of(a), ch, spec) == qber_from_pmd(stokes_of(b), ch, spec)
+
+
+@pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
+def test_qber_of_a_state_stack_is_the_mean_of_single_states(shape):
+    """One pass of a basis pair gives the same bits as two separate quadratures."""
+    # The protocol states come from cos/sin of the modulator phases, so A is
+    # not the exact negation of D and its quadrature cannot be skipped.
+    assert not np.array_equal(PROTOCOL_STATES["A"].vector, -PROTOCOL_STATES["D"].vector)
+    spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape=shape)
+    for seed in range(5):
+        ch = synthesize_channel(0.3, 10.0, 20, seed=seed, reference_nm=1309.5)
+        for pair in (("D", "A"), ("L", "R")):
+            states = [PROTOCOL_STATES[lbl].vector for lbl in pair]
+            single = [qber_from_pmd(st, ch, spec) for st in states]
+            assert qber_from_pmd(states, ch, spec) == 0.5 * (single[0] + single[1])
+    with pytest.raises(ValidationError):
+        qber_from_pmd(np.empty((0, 3)), ch, spec)
+    with pytest.raises(ValidationError):
+        qber_from_pmd([stokes_of("D"), [1.0, 1.0, 0.0]], ch, spec)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

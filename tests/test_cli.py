@@ -2,12 +2,17 @@
 
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
+import fiberqkd.channel
 from fiberqkd.cli import main
+from fiberqkd.config import bundled_scenario_path, load_scenario
 from fiberqkd.emitter import G2Model, g2_of_delay
+from fiberqkd.protocol import expected_rates
 
 
 def run_cli(*argv):
@@ -178,6 +183,94 @@ def test_exit_code_one_on_bad_inputs(tmp_path, capsys):
     assert run_cli("keyrate", "--tally", str(tmp_path / "absent.json")) == 1
     assert run_cli("pmd", "estimate", "--central-angle-deg", "10.0") == 1
     capsys.readouterr()  # swallow the error prints
+
+
+def _deployed_doc():
+    return json.loads(bundled_scenario_path("deployed-3p5km").read_text())
+
+
+def _set_nan(*keys):
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = math.nan
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_nan("emitter", "fwhm_nm"),
+    _set_nan("channel", "synthesize", "pmd_param"),
+    _set_nan("channel", "l_c"),
+    _set_nan("calibration", "sifted_rate_target_bps"),
+    _set_nan("window_s"),
+], ids=["fwhm_nm", "pmd_param", "l_c", "sifted_rate_target_bps", "window_s"])
+def test_exit_code_one_on_nan_scenario_fields(tmp_path, capsys, edit):
+    doc = _deployed_doc()
+    edit(doc)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes and reads NaN
+    assert run_cli("simulate", "--scenario", str(path), "--seed", "1",
+                   "--pulses", "1000") == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """Count qber_from_pmd calls through every fiberqkd namespace that holds it."""
+    original = fiberqkd.channel.qber_from_pmd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "fiberqkd"
+               and getattr(module, "qber_from_pmd", None) is original]
+    assert {"fiberqkd.channel", "fiberqkd.protocol"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "qber_from_pmd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["simulate"], ["--seed", "1", "--pulses", "100000"]),
+    (["optimize"], ["--duration", "60"]),
+    (["rate-curve"], ["--points", "4"]),
+    (["pmd", "sweep"], []),
+], ids=["simulate", "optimize", "rate-curve", "pmd-sweep"])
+@pytest.mark.parametrize("scenario", ["deployed-3p5km", "spool-32p5km"])
+def test_one_quadrature_per_basis_per_command(tmp_path, quadrature_calls, command, extra,
+                                              scenario):
+    """The calibration solve runs the only quadratures, one per basis."""
+    assert run_cli(*command, "--scenario", scenario, *extra,
+                   "--out", str(tmp_path / "out")) == 0
+    assert len(quadrature_calls) == 2
+
+
+def test_uncalibrated_pmd_sweep_runs_no_quadrature(tmp_path, quadrature_calls):
+    doc = _deployed_doc()
+    doc.pop("calibration")
+    path = tmp_path / "uncalibrated.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("pmd", "sweep", "--scenario", str(path),
+                   "--out", str(tmp_path / "traj.csv")) == 0
+    assert quadrature_calls == []
+    assert run_cli("simulate", "--scenario", str(path), "--seed", "1",
+                   "--pulses", "1000", "--out", str(tmp_path / "sim.json")) == 0
+    assert len(quadrature_calls) == 2
+
+
+@pytest.mark.parametrize("scenario", ["deployed-3p5km", "spool-32p5km"])
+def test_simulate_expected_block_matches_expected_rates(tmp_path, scenario):
+    out = tmp_path / "session.json"
+    assert run_cli("simulate", "--scenario", scenario, "--seed", "4",
+                   "--pulses", "100000", "--out", str(out)) == 0
+    expected = json.loads(out.read_text())["expected"]
+    model = expected_rates(load_scenario(scenario).config)
+    assert expected == {"p_det": model.p_det, "sifted_bps": model.sifted_bps,
+                        "qber_da": model.qber_da, "qber_lr": model.qber_lr}
 
 
 def test_exit_code_one_on_bad_flags(capsys):

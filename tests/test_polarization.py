@@ -99,6 +99,49 @@ def test_rotate_rows_matches_scalar_rotation():
         assert np.allclose(rows[i], rotate(pts[i], axis, angles[i]), atol=1e-12)
 
 
+def _rotate_rows_cross(points, axis, angles):
+    """The Rodrigues expression built on np.cross, as rotate_rows once was."""
+    c = np.cos(angles)[..., None]
+    s = np.sin(angles)[..., None]
+    dots = points @ axis
+    return (points * c + np.cross(axis[None, :], points) * s
+            + axis[None, :] * (dots * (1.0 - c[..., 0]))[..., None])
+
+
+def test_rotate_rows_scalar_angle_broadcasts():
+    rng = np.random.default_rng(5)
+    axis = random_unit(rng)
+    pts = np.array([random_unit(rng) for _ in range(16)])
+    rows = rotate_rows(pts, axis, 0.7)
+    assert rows.shape == (16, 3)
+    assert np.array_equal(rows, rotate_rows(pts, axis, np.full(16, 0.7)))
+
+
+def test_rotate_rows_empty_input():
+    axis = stokes_of("D")
+    assert rotate_rows(np.empty((0, 3)), axis, np.empty(0)).shape == (0, 3)
+    assert rotate_rows(np.empty((0, 3)), axis, 0.3).shape == (0, 3)
+
+
+def test_rotate_rows_preserves_norms():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(10_000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    rows = rotate_rows(pts, random_unit(rng), rng.uniform(-20.0, 20.0, size=10_000))
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
+
+
+def test_rotate_rows_matches_cross_product_form():
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(10_000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    axis = random_unit(rng)
+    angles = rng.uniform(-20.0, 20.0, size=10_000)
+    np.testing.assert_allclose(
+        rotate_rows(pts, axis, angles), _rotate_rows_cross(pts, axis, angles), rtol=0.0, atol=1e-15
+    )
+
+
 def test_rotation_taking_generic_and_antiparallel():
     rng = np.random.default_rng(3)
     for _ in range(25):
