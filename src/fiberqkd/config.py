@@ -16,7 +16,7 @@ statistics untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 
@@ -40,21 +40,15 @@ class Scenario:
     security: SecurityParams
     duration_s: float
     raw: dict
-    # Per-basis misalignment errors (DA, LR) already computed while loading.
-    e_pol: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def rate_model(self) -> RateModel:
         """Closed-form rates of this link, computed at most once per scenario.
 
-        A calibrated scenario reuses the misalignment errors of its
-        detection-scale solve, which do not depend on the scale; any other
-        scenario runs the quadrature on first use, so commands that never
+        The misalignment quadrature runs on first use, so commands that never
         read the model never pay for it.
         """
-        if self.e_pol is None:
-            return expected_rates(self.config)
-        return self.config.rate_model(*self.e_pol)
+        return expected_rates(self.config)
 
     @property
     def p_multi_sent(self) -> float:
@@ -102,24 +96,21 @@ def _build_channel(doc: dict) -> FiberChannel:
     return channel
 
 
-def _solve_detection_scale(
-    config: SessionConfig, target_bps: float
-) -> tuple[float, tuple[float, float]]:
+def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     """Detection-scale factor that reproduces a measured sifted rate.
 
-    Also returns the per-basis misalignment errors (DA, LR) the solve used.
+    The closed-form sifted rate does not depend on the misalignment errors,
+    so the solve sets them to zero and runs no quadrature.
     """
     if not target_bps > 0.0:
         raise ValidationError("sifted-rate target must be positive")
-    model = expected_rates(config)
     device = config.device
     loss = config.channel.loss_db
     base = 10.0 ** (-(device.alice_loss_db + loss + device.bob_loss_db) / 10.0)
     scale_max = 1.0 / (base * device.detector_efficiency)
 
     def gap(scale: float) -> float:
-        m = config.rate_model(model.e_pol_da, model.e_pol_lr, detection_scale=scale)
-        return m.sifted_bps - target_bps
+        return config.rate_model(0.0, 0.0, detection_scale=scale).sifted_bps - target_bps
 
     if gap(scale_max) < 0.0:
         raise ValidationError(
@@ -129,8 +120,7 @@ def _solve_detection_scale(
         raise ValidationError(
             f"sifted-rate target {target_bps} bps sits below the dark-count floor"
         )
-    scale = float(brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14))
-    return scale, (model.e_pol_da, model.e_pol_lr)
+    return float(brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -178,9 +168,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     calibration = doc.get("calibration", {})
     target = calibration.get("sifted_rate_target_bps")
-    e_pol = None
     if target is not None:
-        scale, e_pol = _solve_detection_scale(config, float(target))
+        scale = _solve_detection_scale(config, float(target))
         config = replace(config, detection_scale=scale)
     return Scenario(
         name=name,
@@ -188,7 +177,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         security=security,
         duration_s=float(doc.get("duration_s", 3600.0)),
         raw=doc,
-        e_pol=e_pol,
     )
 
 

@@ -110,7 +110,7 @@ class PhotonStatistics:
     def __post_init__(self):
         if not 0.0 <= self.mu < 1.0:
             raise ValidationError("mean photon number must lie in [0, 1)")
-        if self.g2_zero < 0.0:
+        if not self.g2_zero >= 0.0:
             raise ValidationError("g2 at zero delay must be non-negative")
         if self.p_single < 0.0:
             raise ValidationError(
@@ -164,7 +164,7 @@ class G2Model:
     def __post_init__(self):
         if self.tau1_ns <= 0.0 or self.tau2_ns <= 0.0:
             raise ValidationError("timescales must be positive")
-        if self.g2_zero < 0.0:
+        if not self.g2_zero >= 0.0:
             raise ValidationError("g2 floor must be non-negative")
 
 

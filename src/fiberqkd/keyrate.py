@@ -94,7 +94,7 @@ class SecurityParams:
     def __post_init__(self):
         if not 0.0 < self.eps_sec < 1.0 or not 0.0 < self.eps_cor < 1.0:
             raise ValidationError("failure probabilities must lie in (0, 1)")
-        if self.f < 1.0:
+        if not self.f >= 1.0:
             raise ValidationError("reconciliation efficiency factor must be at least one")
 
 
@@ -124,7 +124,7 @@ class KeyTally:
             raise ValidationError("basis probabilities must sum to one")
         if not 0.0 < self.p_det <= 1.0:
             raise ValidationError("detection probability must lie in (0, 1]")
-        if self.p_multi < 0.0:
+        if not self.p_multi >= 0.0:
             raise ValidationError("multi-photon probability must be non-negative")
         if self.duration_s is not None and not 0.0 < self.duration_s < math.inf:
             raise ValidationError("duration must be positive and finite when given")
@@ -464,6 +464,18 @@ _TALLY_KEYS = ("n_z", "n_x", "e_z", "e_x", "p_z", "p_x", "p_det", "p_m")
 _SECURITY_KEYS = ("eps_sec", "eps_cor", "f")
 
 
+def _count(doc: dict, key: str) -> int:
+    """A tally count, rejected unless it is a finite whole number."""
+    value = doc[key]
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be a whole number, got {value!r}") from None
+    if not (math.isfinite(number) and number.is_integer()):
+        raise ValidationError(f"{key} must be a whole number, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
+
+
 def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
     """Read a key-analysis JSON document (path, file object or dict).
 
@@ -482,8 +494,8 @@ def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
     if missing:
         raise ValidationError(f"key-analysis document missing fields: {missing}")
     tally = KeyTally(
-        n_key=int(doc["n_z"]),
-        n_check=int(doc["n_x"]),
+        n_key=_count(doc, "n_z"),
+        n_check=_count(doc, "n_x"),
         e_key=float(doc["e_z"]),
         e_check=float(doc["e_x"]),
         p_key=float(doc["p_z"]),

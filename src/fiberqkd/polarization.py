@@ -87,20 +87,19 @@ def rotate(state, axis, angle: float) -> np.ndarray:
     return normalize(out)
 
 
-def rotate_rows(points: np.ndarray, axis: np.ndarray, angles) -> np.ndarray:
+def rotate_rows(points: np.ndarray, axis: np.ndarray, c, s) -> np.ndarray:
     """Rodrigues rotation of each row of ``points`` by its own angle.
 
-    ``points`` is (n, 3), ``axis`` a single unit 3-vector, ``angles`` scalar
-    or length n. No renormalization; callers that chain many segments should
-    renormalize once at the end.
+    ``points`` is (n, 3), ``axis`` a single unit 3-vector, and ``c`` and
+    ``s`` the cosine and sine of the rotation angles, scalar or length n.
+    Taking them rather than the angles lets a caller that applies one angle
+    about several axes evaluate the trig once. No renormalization; callers
+    that chain many segments should renormalize once at the end.
 
     The cross product ``a x p`` is written out per component, which skips
     ``np.cross``'s axis handling and gives the same bits.
     """
     a = require_unit(axis, "axis")
-    ang = np.asarray(angles, dtype=float)
-    c = np.cos(ang)
-    s = np.sin(ang)
     k = (points @ a) * (1.0 - c)
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     a0, a1, a2 = a

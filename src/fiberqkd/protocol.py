@@ -56,7 +56,7 @@ class DeviceParams:
     bob_loss_db: float = 0.0
 
     def __post_init__(self):
-        if self.rep_rate_hz <= 0.0:
+        if not self.rep_rate_hz > 0.0:
             raise ValidationError("repetition rate must be positive")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValidationError("detector efficiency must lie in (0, 1]")
@@ -64,7 +64,7 @@ class DeviceParams:
             raise ValidationError("dark probability must lie in [0, 1)")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise ValidationError("intrinsic error must lie in [0, 0.5]")
-        if self.alice_loss_db < 0.0 or self.bob_loss_db < 0.0:
+        if not (self.alice_loss_db >= 0.0 and self.bob_loss_db >= 0.0):
             raise ValidationError("losses must be non-negative")
 
 
@@ -72,9 +72,9 @@ def survival_probability(
     device: DeviceParams, channel_loss_db: float, detection_scale: float = 1.0
 ) -> float:
     """End-to-end detection probability for one photon leaving the source."""
-    if channel_loss_db < 0.0:
+    if not channel_loss_db >= 0.0:
         raise ValidationError("channel loss must be non-negative")
-    if detection_scale <= 0.0:
+    if not detection_scale > 0.0:
         raise ValidationError("detection scale must be positive")
     total_db = device.alice_loss_db + channel_loss_db + device.bob_loss_db
     p = 10.0 ** (-total_db / 10.0) * device.detector_efficiency * detection_scale
@@ -748,18 +748,15 @@ def expected_rates(config: SessionConfig, n_qber_samples: int = 201) -> RateMode
     """Closed-form rates for a full session configuration.
 
     Polarization error rates per basis come from the spectrally averaged
-    channel misalignment of the basis's two states, which share one pass
-    through the channel. They are not exact antipodes in floating point
-    (A sits at (0, -1, 1.2e-16) from the modulator phase pi), so each keeps
-    its own quadrature and the basis error is their mean.
+    channel misalignment of the basis's two states; all four states share one
+    pass through the channel. A basis's two states are not exact antipodes in
+    floating point (A sits at (0, -1, 1.2e-16) from the modulator phase pi),
+    so each keeps its own quadrature and the basis error is their mean.
     """
-    e_pol = {
-        basis: qber_from_pmd(
-            [PROTOCOL_STATES[lbl].vector for lbl in BASIS_STATES[basis]],
-            config.channel,
-            config.spectrum,
-            n_qber_samples,
-        )
-        for basis in _BASIS_LABELS
-    }
-    return config.rate_model(e_pol["DA"], e_pol["LR"])
+    e = qber_from_pmd(
+        [PROTOCOL_STATES[lbl].vector for basis in _BASIS_LABELS for lbl in BASIS_STATES[basis]],
+        config.channel,
+        config.spectrum,
+        n_qber_samples,
+    )
+    return config.rate_model(float(np.mean(e[:2])), float(np.mean(e[2:])))

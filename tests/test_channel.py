@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberqkd.channel import (
+    _BLOCK_ROWS,
     SPEED_OF_LIGHT_NM_PER_PS,
     FiberChannel,
     FiberSegment,
@@ -26,7 +29,14 @@ from fiberqkd.channel import (
 )
 from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
-from fiberqkd.polarization import PROTOCOL_STATES, perpendicular_unit, random_unit, stokes_of
+from fiberqkd.polarization import (
+    PROTOCOL_STATES,
+    random_unit,
+    rotate,
+    rotate_rows,
+    rotation_taking,
+    stokes_of,
+)
 
 
 def single_segment(dgd_ps=0.117, axis=(1.0, 0.0, 0.0), reference_nm=1310.0):
@@ -77,6 +87,58 @@ def test_apply_channel_rows_matches_scalar_path():
         assert np.allclose(rows[i], apply_channel(states[i], ch, wls[i]), atol=1e-12)
 
 
+def _unblocked_channel_rows(states, channel, wavelengths_nm):
+    """apply_channel_rows in one pass over all rows, cos and sin per segment."""
+    lam = np.asarray(wavelengths_nm, dtype=float)
+    dw = 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / lam - 1.0 / channel.reference_nm)
+    out = np.array(states, dtype=float)
+    for seg in channel.segments:
+        angle = seg.dgd_ps * dw
+        out = rotate_rows(out, np.array(seg.axis), np.cos(angle), np.sin(angle))
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def _mixed_delay_channel():
+    """Spelled-out segments whose delays are partly repeated, partly distinct."""
+    rng = np.random.default_rng(17)
+    delays = (0.05, 0.05, 0.12, 0.05, 0.3, 0.12, 0.0, 0.07, 0.3, 0.011)
+    segs = tuple(FiberSegment(axis=tuple(random_unit(rng)), dgd_ps=d) for d in delays)
+    return FiberChannel(segments=segs, loss_db=0.0, length_km=2.0, reference_nm=1309.5)
+
+
+def _random_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(n, 3))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states, rng.uniform(1290.0, 1330.0, size=n)
+
+
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
+@pytest.mark.parametrize("channel", [
+    synthesize_channel(0.0625391306075073, 3.5, 20, seed=14, reference_nm=1309.5),
+    _mixed_delay_channel(),
+], ids=["synthesized", "mixed-delays"])
+def test_blocked_channel_rows_equal_one_unblocked_pass(n_rows, channel):
+    states, lam = _random_rows(n_rows, seed=n_rows)
+    assert np.array_equal(apply_channel_rows(states, channel, lam),
+                          _unblocked_channel_rows(states, channel, lam))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_rows=st.integers(0, 3 * _BLOCK_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_blocked_channel_rows_equal_unblocked_for_any_row_count(n_rows, seed):
+    channel = _mixed_delay_channel()
+    states, lam = _random_rows(n_rows, seed)
+    assert np.array_equal(apply_channel_rows(states, channel, lam),
+                          _unblocked_channel_rows(states, channel, lam))
+
+
+def test_apply_channel_rows_needs_one_wavelength_per_row():
+    ch = single_segment()
+    with pytest.raises(ValidationError):
+        apply_channel_rows(np.tile(stokes_of("D"), (3, 1)), ch, [1310.0, 1311.0])
+
+
 def test_first_order_pmd_is_segment_vector_sum():
     segs = (FiberSegment(axis=(1.0, 0.0, 0.0), dgd_ps=0.3),
             FiberSegment(axis=(0.0, 1.0, 0.0), dgd_ps=0.4))
@@ -113,6 +175,21 @@ def test_align_first_order_axis():
     assert np.allclose(fo.axis, stokes_of("D"), atol=1e-9)
     # alignment is a frame change; the total first-order magnitude is untouched
     assert fo.dgd_ps == pytest.approx(first_order_pmd(ch).dgd_ps, rel=1e-12)
+
+
+def _align_by_scalar_rotations(channel, target):
+    """Segment axes after alignment, one scalar rotate call per segment."""
+    axis, angle = rotation_taking(np.array(first_order_pmd(channel).axis), stokes_of(target))
+    return [tuple(rotate(np.array(seg.axis), axis, angle)) for seg in channel.segments]
+
+
+def test_align_first_order_axis_matches_scalar_rotations():
+    for seed in range(120):
+        ch = synthesize_channel(0.3, 8.0, 20, seed=seed)
+        for target in ("D", "L", "H"):
+            aligned = align_first_order_axis(ch, target)
+            assert [seg.axis for seg in aligned.segments] == _align_by_scalar_rotations(ch, target)
+            assert [seg.dgd_ps for seg in aligned.segments] == [seg.dgd_ps for seg in ch.segments]
 
 
 def test_sweep_trajectory_shape_and_validation():
@@ -254,18 +331,21 @@ def test_qber_equal_for_antipodal_states(shape):
 
 
 @pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
-def test_qber_of_a_state_stack_is_the_mean_of_single_states(shape):
-    """One pass of a basis pair gives the same bits as two separate quadratures."""
+def test_qber_of_a_state_stack_is_each_states_own_error(shape):
+    """One pass of a state stack gives each state the bits of its own quadrature."""
     # The protocol states come from cos/sin of the modulator phases, so A is
     # not the exact negation of D and its quadrature cannot be skipped.
     assert not np.array_equal(PROTOCOL_STATES["A"].vector, -PROTOCOL_STATES["D"].vector)
     spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape=shape)
+    states = [PROTOCOL_STATES[lbl].vector for lbl in ("D", "A", "L", "R")]
     for seed in range(5):
         ch = synthesize_channel(0.3, 10.0, 20, seed=seed, reference_nm=1309.5)
-        for pair in (("D", "A"), ("L", "R")):
-            states = [PROTOCOL_STATES[lbl].vector for lbl in pair]
-            single = [qber_from_pmd(st, ch, spec) for st in states]
-            assert qber_from_pmd(states, ch, spec) == 0.5 * (single[0] + single[1])
+        single = [qber_from_pmd(s, ch, spec) for s in states]
+        assert all(type(v) is float for v in single)
+        stacked = qber_from_pmd(states, ch, spec)
+        assert stacked.shape == (4,)
+        assert stacked.tolist() == single
+        assert qber_from_pmd(states[2:], ch, spec).tolist() == single[2:]
     with pytest.raises(ValidationError):
         qber_from_pmd(np.empty((0, 3)), ch, spec)
     with pytest.raises(ValidationError):

@@ -204,7 +204,13 @@ def _set_nan(*keys):
     _set_nan("channel", "l_c"),
     _set_nan("calibration", "sifted_rate_target_bps"),
     _set_nan("window_s"),
-], ids=["fwhm_nm", "pmd_param", "l_c", "sifted_rate_target_bps", "window_s"])
+    _set_nan("device", "nu_rep"),
+    _set_nan("device", "l_a"),
+    _set_nan("device", "l_b"),
+    _set_nan("device", "g2_zero"),
+    _set_nan("security", "f"),
+], ids=["fwhm_nm", "pmd_param", "l_c", "sifted_rate_target_bps", "window_s",
+        "nu_rep", "l_a", "l_b", "g2_zero", "security.f"])
 def test_exit_code_one_on_nan_scenario_fields(tmp_path, capsys, edit):
     doc = _deployed_doc()
     edit(doc)
@@ -212,6 +218,23 @@ def test_exit_code_one_on_nan_scenario_fields(tmp_path, capsys, edit):
     path.write_text(json.dumps(doc))  # json writes and reads NaN
     assert run_cli("simulate", "--scenario", str(path), "--seed", "1",
                    "--pulses", "1000") == 1
+    assert "error:" in capsys.readouterr().err
+    assert run_cli("optimize", "--scenario", str(path), "--duration", "60") == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_m", math.nan),
+    ("f", math.nan),
+    ("n_z", math.nan),
+    ("n_z", 10.7),
+], ids=["p_m-nan", "f-nan", "n_z-nan", "n_z-fractional"])
+def test_exit_code_one_on_bad_tally_fields(tmp_path, capsys, key, value):
+    doc = json.loads(bundled_scenario_path("tally-deployed-optimized").read_text())
+    doc[key] = value
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("keyrate", "--tally", str(path)) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -234,19 +257,23 @@ def quadrature_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command, extra", [
-    (["simulate"], ["--seed", "1", "--pulses", "100000"]),
-    (["optimize"], ["--duration", "60"]),
-    (["rate-curve"], ["--points", "4"]),
-    (["pmd", "sweep"], []),
+@pytest.mark.parametrize("command, extra, n_passes", [
+    (["simulate"], ["--seed", "1", "--pulses", "100000"], 1),
+    (["optimize"], ["--duration", "60"], 1),
+    (["rate-curve"], ["--points", "4"], 1),
+    (["pmd", "sweep"], [], 0),
 ], ids=["simulate", "optimize", "rate-curve", "pmd-sweep"])
 @pytest.mark.parametrize("scenario", ["deployed-3p5km", "spool-32p5km"])
 def test_one_quadrature_per_basis_per_command(tmp_path, quadrature_calls, command, extra,
-                                              scenario):
-    """The calibration solve runs the only quadratures, one per basis."""
+                                              n_passes, scenario):
+    """Both bases share one quadrature pass, run only by commands that read the rates.
+
+    The calibration solve needs no misalignment errors, so a calibrated
+    ``pmd sweep`` runs none.
+    """
     assert run_cli(*command, "--scenario", scenario, *extra,
                    "--out", str(tmp_path / "out")) == 0
-    assert len(quadrature_calls) == 2
+    assert len(quadrature_calls) == n_passes
 
 
 def test_uncalibrated_pmd_sweep_runs_no_quadrature(tmp_path, quadrature_calls):
@@ -259,7 +286,7 @@ def test_uncalibrated_pmd_sweep_runs_no_quadrature(tmp_path, quadrature_calls):
     assert quadrature_calls == []
     assert run_cli("simulate", "--scenario", str(path), "--seed", "1",
                    "--pulses", "1000", "--out", str(tmp_path / "sim.json")) == 0
-    assert len(quadrature_calls) == 2
+    assert len(quadrature_calls) == 1
 
 
 @pytest.mark.parametrize("scenario", ["deployed-3p5km", "spool-32p5km"])

@@ -1,8 +1,10 @@
 """Scenario files: loading, throughput calibration, planning summaries."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from scipy.optimize import brentq
 
 from fiberqkd.config import (
     BUNDLED_SCENARIOS,
@@ -56,6 +58,25 @@ def test_spool_scenario_calibration():
     assert scn.config.detection_scale == pytest.approx(3.1189074719704735, rel=1e-9)
     model = expected_rates(scn.config)
     assert model.sifted_bps == pytest.approx(257.16097849631984, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_calibration_needs_no_misalignment_errors(name):
+    """The scale solved with zero errors is the one solved with the true ones."""
+    scn = load_scenario(name)
+    config = replace(scn.config, detection_scale=1.0)
+    model = expected_rates(config)
+    assert model.e_pol_da > 0.0 and model.e_pol_lr > 0.0
+    target = scn.raw["calibration"]["sifted_rate_target_bps"]
+    device = config.device
+    total_db = device.alice_loss_db + config.channel.loss_db + device.bob_loss_db
+    scale_max = 1.0 / (10.0 ** (-total_db / 10.0) * device.detector_efficiency)
+
+    def gap(scale):
+        m = config.rate_model(model.e_pol_da, model.e_pol_lr, detection_scale=scale)
+        return m.sifted_bps - target
+
+    assert brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14) == scn.config.detection_scale
 
 
 def test_sent_multiphoton_share():

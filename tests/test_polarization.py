@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import (
@@ -94,7 +96,7 @@ def test_rotate_rows_matches_scalar_rotation():
     axis = random_unit(rng)
     pts = np.array([random_unit(rng) for _ in range(8)])
     angles = rng.uniform(-2.0, 2.0, size=8)
-    rows = rotate_rows(pts, axis, angles)
+    rows = rotate_rows(pts, axis, np.cos(angles), np.sin(angles))
     for i in range(8):
         assert np.allclose(rows[i], rotate(pts[i], axis, angles[i]), atol=1e-12)
 
@@ -112,22 +114,44 @@ def test_rotate_rows_scalar_angle_broadcasts():
     rng = np.random.default_rng(5)
     axis = random_unit(rng)
     pts = np.array([random_unit(rng) for _ in range(16)])
-    rows = rotate_rows(pts, axis, 0.7)
+    rows = rotate_rows(pts, axis, np.cos(0.7), np.sin(0.7))
     assert rows.shape == (16, 3)
-    assert np.array_equal(rows, rotate_rows(pts, axis, np.full(16, 0.7)))
+    angles = np.full(16, 0.7)
+    assert np.array_equal(rows, rotate_rows(pts, axis, np.cos(angles), np.sin(angles)))
 
 
 def test_rotate_rows_empty_input():
     axis = stokes_of("D")
-    assert rotate_rows(np.empty((0, 3)), axis, np.empty(0)).shape == (0, 3)
-    assert rotate_rows(np.empty((0, 3)), axis, 0.3).shape == (0, 3)
+    assert rotate_rows(np.empty((0, 3)), axis, np.empty(0), np.empty(0)).shape == (0, 3)
+    assert rotate_rows(np.empty((0, 3)), axis, np.cos(0.3), np.sin(0.3)).shape == (0, 3)
 
 
 def test_rotate_rows_preserves_norms():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(10_000, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    rows = rotate_rows(pts, random_unit(rng), rng.uniform(-20.0, 20.0, size=10_000))
+    angles = rng.uniform(-20.0, 20.0, size=10_000)
+    rows = rotate_rows(pts, random_unit(rng), np.cos(angles), np.sin(angles))
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
+
+
+_unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.tuples(_unit_floats, _unit_floats, _unit_floats).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    ),
+    angles=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotate_rows_preserves_norms_for_any_axis_and_angles(axis, angles, seed):
+    a = np.array(axis) / np.linalg.norm(axis)
+    ang = np.array(angles)
+    pts = np.random.default_rng(seed).normal(size=(ang.size, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    rows = rotate_rows(pts, a, np.cos(ang), np.sin(ang))
     assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
 
 
@@ -138,7 +162,10 @@ def test_rotate_rows_matches_cross_product_form():
     axis = random_unit(rng)
     angles = rng.uniform(-20.0, 20.0, size=10_000)
     np.testing.assert_allclose(
-        rotate_rows(pts, axis, angles), _rotate_rows_cross(pts, axis, angles), rtol=0.0, atol=1e-15
+        rotate_rows(pts, axis, np.cos(angles), np.sin(angles)),
+        _rotate_rows_cross(pts, axis, angles),
+        rtol=0.0,
+        atol=1e-15,
     )
 
 
