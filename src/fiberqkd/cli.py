@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -364,7 +365,14 @@ def cmd_rate_curve(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process on first use.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh namespace,
+    and each ``func`` default looks up its module globals when it runs, so
+    repeated ``main`` calls can share one parser.
+    """
     parser = _Parser(prog="fiberqkd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

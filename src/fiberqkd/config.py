@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthesize_channel
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
-from .keyrate import SecurityParams, sent_multiphoton_probability
+from .keyrate import SecurityParams, sent_multiphoton_probability, whole_number
 from .protocol import AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates
 
 BUNDLED_SCENARIOS = ("deployed-3p5km", "spool-32p5km")
@@ -69,7 +69,10 @@ def _build_channel(doc: dict) -> FiberChannel:
     reference = float(_require(doc, "reference_nm", "channel"))
     if "segments" in doc:
         segments = tuple(
-            FiberSegment(axis=tuple(float(x) for x in seg["axis"]), dgd_ps=float(seg["dgd_ps"]))
+            FiberSegment(
+                axis=tuple(float(x) for x in _require(seg, "axis", "channel.segments")),
+                dgd_ps=float(_require(seg, "dgd_ps", "channel.segments")),
+            )
             for seg in doc["segments"]
         )
         channel = FiberChannel(
@@ -80,11 +83,15 @@ def _build_channel(doc: dict) -> FiberChannel:
         )
     elif "synthesize" in doc:
         synth = doc["synthesize"]
+        n_segments = whole_number(_require(synth, "n_segments", "channel.synthesize"), "n_segments")
+        seed = whole_number(_require(synth, "seed", "channel.synthesize"), "seed")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
         channel = synthesize_channel(
             pmd_param_ps_per_sqrt_km=float(_require(synth, "pmd_param", "channel.synthesize")),
             length_km=float(_require(synth, "length_km", "channel.synthesize")),
-            n_segments=int(_require(synth, "n_segments", "channel.synthesize")),
-            seed=int(_require(synth, "seed", "channel.synthesize")),
+            n_segments=n_segments,
+            seed=seed,
             loss_db=loss,
             reference_nm=reference,
         )

@@ -464,15 +464,14 @@ _TALLY_KEYS = ("n_z", "n_x", "e_z", "e_x", "p_z", "p_x", "p_det", "p_m")
 _SECURITY_KEYS = ("eps_sec", "eps_cor", "f")
 
 
-def _count(doc: dict, key: str) -> int:
-    """A tally count, rejected unless it is a finite whole number."""
-    value = doc[key]
+def whole_number(value, what: str) -> int:
+    """A count read from a document, rejected unless it is a finite whole number."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a whole number, got {value!r}") from None
+        raise ValidationError(f"{what} must be a whole number, got {value!r}") from None
     if not (math.isfinite(number) and number.is_integer()):
-        raise ValidationError(f"{key} must be a whole number, got {value!r}")
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
     return int(value) if isinstance(value, int) else int(number)
 
 
@@ -494,8 +493,8 @@ def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
     if missing:
         raise ValidationError(f"key-analysis document missing fields: {missing}")
     tally = KeyTally(
-        n_key=_count(doc, "n_z"),
-        n_check=_count(doc, "n_x"),
+        n_key=whole_number(doc["n_z"], "n_z"),
+        n_check=whole_number(doc["n_x"], "n_x"),
         e_key=float(doc["e_z"]),
         e_check=float(doc["e_x"]),
         p_key=float(doc["p_z"]),

@@ -17,6 +17,7 @@ lands on ``(0, -1, 0)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,21 @@ def phase_to_state(phi: float) -> np.ndarray:
 
 
 def require_unit(vec, what: str = "vector", tol: float = UNIT_NORM_TOL) -> np.ndarray:
-    """Return ``vec`` as a float array after checking it is a unit 3-vector."""
-    arr = np.asarray(vec, dtype=float)
+    """Return ``vec`` as a float array after checking it is a finite unit 3-vector.
+
+    The norm is taken in scalar arithmetic, which on three numbers costs less
+    than numpy's generic ``linalg.norm`` dispatch; every segment and rotation
+    runs this check. A NaN norm fails the comparison and is rejected.
+    """
+    try:
+        arr = np.asarray(vec, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a numeric 3-vector, got {vec!r}") from None
     if arr.shape != (3,):
         raise ValidationError(f"{what} must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
+    x, y, z = arr.tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not abs(norm - 1.0) <= tol:
         raise ValidationError(f"{what} must be unit length, got |v| = {norm:.12g}")
     return arr
 

@@ -198,6 +198,19 @@ def _set_nan(*keys):
     return edit
 
 
+def _one_segment_channel(doc, segment):
+    doc["channel"] = {"l_c": 4.0, "reference_nm": 1309.5, "length_km": 3.5,
+                      "segments": [segment]}
+
+
+def _nan_segment_axis(doc):
+    _one_segment_channel(doc, {"axis": [math.nan, 0.0, 0.0], "dgd_ps": 0.117})
+
+
+def _nan_align_target(doc):
+    doc["channel"]["align_first_order_axis_to"] = [math.nan, 1.0, 0.0]
+
+
 @pytest.mark.parametrize("edit", [
     _set_nan("emitter", "fwhm_nm"),
     _set_nan("channel", "synthesize", "pmd_param"),
@@ -209,8 +222,10 @@ def _set_nan(*keys):
     _set_nan("device", "l_b"),
     _set_nan("device", "g2_zero"),
     _set_nan("security", "f"),
+    _nan_segment_axis,
+    _nan_align_target,
 ], ids=["fwhm_nm", "pmd_param", "l_c", "sifted_rate_target_bps", "window_s",
-        "nu_rep", "l_a", "l_b", "g2_zero", "security.f"])
+        "nu_rep", "l_a", "l_b", "g2_zero", "security.f", "segment-axis", "align-target"])
 def test_exit_code_one_on_nan_scenario_fields(tmp_path, capsys, edit):
     doc = _deployed_doc()
     edit(doc)
@@ -219,7 +234,44 @@ def test_exit_code_one_on_nan_scenario_fields(tmp_path, capsys, edit):
     assert run_cli("simulate", "--scenario", str(path), "--seed", "1",
                    "--pulses", "1000") == 1
     assert "error:" in capsys.readouterr().err
+    assert run_cli("pmd", "sweep", "--scenario", str(path)) == 1
+    assert "error:" in capsys.readouterr().err
     assert run_cli("optimize", "--scenario", str(path), "--duration", "60") == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _set_synthesize(key, value):
+    def edit(doc):
+        doc["channel"]["synthesize"][key] = value
+    return edit
+
+
+def _drop_segment_field(key):
+    def edit(doc):
+        segment = {"axis": [0.0, 1.0, 0.0], "dgd_ps": 0.117}
+        del segment[key]
+        _one_segment_channel(doc, segment)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_synthesize("n_segments", 20.5),
+    _set_synthesize("n_segments", "twenty"),
+    _set_synthesize("n_segments", None),
+    _set_synthesize("seed", 14.7),
+    _set_synthesize("seed", "fourteen"),
+    _set_synthesize("seed", -1),
+    _drop_segment_field("axis"),
+    _drop_segment_field("dgd_ps"),
+], ids=["n_segments-fractional", "n_segments-text", "n_segments-null", "seed-fractional",
+        "seed-text", "seed-negative", "segment-without-axis", "segment-without-dgd"])
+def test_exit_code_one_on_malformed_channel(tmp_path, capsys, edit):
+    """Channel counts are whole numbers, never truncated, and segments are complete."""
+    doc = _deployed_doc()
+    edit(doc)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("pmd", "sweep", "--scenario", str(path)) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -305,6 +357,62 @@ def test_exit_code_one_on_bad_flags(capsys):
         run_cli("simulate", "--scenario", "deployed-3p5km")  # --seed required
     assert err.value.code == 1
     capsys.readouterr()
+
+
+def _run_capturing(capsys, argv):
+    """Exit code, stdout and stderr of one call; usage errors exit through argparse."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """Each argv gives the same stdout and files whichever calls ran before it."""
+    calls = [
+        ("simulate", "--scenario", "deployed-3p5km", "--seed", "3", "--pulses", "400000",
+         "--window-s", "0.001", "--out", "session.json"),
+        ("simulate", "--scenario", "deployed-3p5km", "--seed", "3", "--pulses", "400000"),
+        ("keyrate", "--tally", "tally-spool"),
+        ("pmd", "sweep", "--scenario", "deployed-3p5km", "--points", "8", "--format", "json"),
+        ("simulate", "--scenario", "deployed-3p5km"),  # --seed missing: usage error
+    ]
+    results = {}
+    for order in ("forward", "reversed"):
+        workdir = tmp_path / order
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        sequence = calls if order == "forward" else calls[::-1]
+        results[order] = {argv: _run_capturing(capsys, argv) for argv in sequence}
+        results[order]["files"] = {p.name: p.read_text() for p in workdir.iterdir()}
+    for order in ("forward", "reversed"):
+        assert [results[order][argv][0] for argv in calls] == [0, 0, 0, 0, 1]
+        # the window and output flags of the first simulate stay with it
+        assert json.loads(results[order][calls[1]][1])["n_windows"] == 0
+        assert list(results[order]["files"]) == ["session.json"]
+    assert results["forward"] == results["reversed"]
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    import fiberqkd.cli as cli_mod
+
+    built = []
+    original_init = cli_mod._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod._Parser, "__init__", counting_init)
+    assert run_cli("keyrate", "--tally", "tally-spool") == 0
+    first = len(built)
+    for _ in range(10):
+        assert run_cli("keyrate", "--tally", "tally-spool") == 0
+    capsys.readouterr()
+    assert len(built) == first
+    assert cli_mod.build_parser() is cli_mod.build_parser()
 
 
 def test_exit_code_two_on_internal_failure(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from fiberqkd.polarization import (
     perpendicular_unit,
     phase_to_state,
     random_unit,
+    require_unit,
     rotate,
     rotate_rows,
     rotation_taking,
@@ -89,6 +90,40 @@ def test_rotate_rejects_non_unit_inputs():
         rotate(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0]), 0.1)
     with pytest.raises(ValidationError):
         rotate(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]), 0.1)
+
+
+@pytest.mark.parametrize("vec", [
+    [np.nan, 0.0, 0.0],
+    [np.nan, np.nan, np.nan],
+    [np.inf, 0.0, 0.0],
+    [0.0, -np.inf, 0.0],
+    [0.0, 0.0, 0.0],
+    [1.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0 + 2e-9],
+    [1.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [[1.0, 0.0, 0.0]],
+    1.0,
+    None,
+    ["x", 0.0, 0.0],
+    [[1.0], 0.0, 0.0],
+], ids=["nan", "all-nan", "inf", "minus-inf", "zero", "off-unit", "just-off-unit", "short",
+        "long", "row", "scalar", "none", "text", "ragged"])
+def test_require_unit_rejects_non_finite_wrong_shape_and_off_unit(vec):
+    with pytest.raises(ValidationError):
+        require_unit(vec, "probe")
+
+
+def test_require_unit_returns_its_input_values():
+    rng = np.random.default_rng(5)
+    vectors = [random_unit(rng) for _ in range(50)] + [stokes_of(s) for s in "HVDALR"]
+    vectors.append(np.array([0.0, 0.0, 1.0 + 5e-10]))  # inside the tolerance
+    for v in vectors:
+        assert require_unit(v) is v
+        for form in (list(v), tuple(v)):
+            out = require_unit(form)
+            assert out.dtype == np.float64
+            assert out.tolist() == v.tolist()
 
 
 def test_rotate_rows_matches_scalar_rotation():
