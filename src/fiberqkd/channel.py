@@ -174,6 +174,8 @@ def synthesize_channel(
         raise ValidationError("PMD parameter must be non-negative")
     if n_segments < 1:
         raise ValidationError("need at least one segment")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     per_segment = pmd_param_ps_per_sqrt_km * np.sqrt(length_km) / np.sqrt(n_segments)
     segments = tuple(

@@ -85,8 +85,6 @@ def _build_channel(doc: dict) -> FiberChannel:
         synth = doc["synthesize"]
         n_segments = whole_number(_require(synth, "n_segments", "channel.synthesize"), "n_segments")
         seed = whole_number(_require(synth, "seed", "channel.synthesize"), "seed")
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
         channel = synthesize_channel(
             pmd_param_ps_per_sqrt_km=float(_require(synth, "pmd_param", "channel.synthesize")),
             length_km=float(_require(synth, "length_km", "channel.synthesize")),

@@ -168,6 +168,12 @@ def test_synthesis_is_seed_deterministic():
     assert not all(np.allclose(x.axis, y.axis) for x, y in zip(a.segments, c.segments))
 
 
+@pytest.mark.parametrize("n_segments, seed", [(0, 14), (20, -1)], ids=["no-segments", "negative-seed"])
+def test_synthesis_rejects_bad_counts(n_segments, seed):
+    with pytest.raises(ValidationError):
+        synthesize_channel(0.1, 3.5, n_segments, seed=seed)
+
+
 def test_align_first_order_axis():
     ch = synthesize_channel(0.3, 8.0, 16, seed=9)
     aligned = align_first_order_axis(ch, "D")
