@@ -16,12 +16,10 @@ from .channel import (
     PmdVector,
     TrajectoryPoint,
     align_first_order_axis,
-    apply_channel,
     delta_omega,
     estimate_dgd,
     first_order_pmd,
     fit_arc,
-    pmd_parameter,
     qber_from_pmd,
     sweep_trajectory,
     synthesize_channel,
@@ -67,7 +65,6 @@ from .protocol import (
     expected_rates,
     run_session,
     sift,
-    transmit_and_measure,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ Wavelengths are in nm, delay in ps, so detunings come out in rad/ps.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -36,17 +35,17 @@ from .polarization import (
 SPEED_OF_LIGHT_NM_PER_PS = 299792.458
 
 
-def delta_omega(wavelength_nm: float, reference_nm: float) -> float:
+def delta_omega(wavelength_nm, reference_nm: float):
     """Angular-frequency detuning in rad/ps of a wavelength from a reference.
 
     Uses the exact relation 2*pi*c*(1/lambda - 1/lambda_ref), negative for
-    wavelengths above the reference.
+    wavelengths above the reference. A scalar wavelength gives a scalar and
+    an array gives the array of its detunings.
     """
-    if wavelength_nm <= 0.0 or reference_nm <= 0.0:
+    lam = np.asarray(wavelength_nm, dtype=float)
+    if np.any(lam <= 0.0) or reference_nm <= 0.0:
         raise ValidationError("wavelengths must be positive")
-    return float(
-        2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / wavelength_nm - 1.0 / reference_nm)
-    )
+    return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / lam - 1.0 / reference_nm)
 
 
 @dataclass(frozen=True)
@@ -87,19 +86,6 @@ class FiberChannel:
         if not self.reference_nm > 0.0:
             raise ValidationError("reference wavelength must be positive")
 
-    @property
-    def transmittance(self) -> float:
-        return float(10.0 ** (-self.loss_db / 10.0))
-
-
-def apply_channel(state, channel: FiberChannel, wavelength_nm: float) -> np.ndarray:
-    """Propagate one Stokes vector through the channel at one wavelength."""
-    dw = delta_omega(wavelength_nm, channel.reference_nm)
-    out = require_unit(state, "state")
-    for seg in channel.segments:
-        out = rotate(out, np.array(seg.axis), seg.dgd_ps * dw)
-    return out
-
 
 # Rows per block of the segment cascade. A block's (n, 3) temporaries stay in
 # cache; on a whole event batch of up to 2^18 rows the cascade is memory bound.
@@ -117,14 +103,7 @@ def apply_channel_rows(states: np.ndarray, channel: FiberChannel, wavelengths_nm
     lam = np.asarray(wavelengths_nm, dtype=float)
     if lam.shape != out.shape[:1]:
         raise ValidationError("need one wavelength per state row")
-    if np.any(lam <= 0.0):
-        raise ValidationError("wavelengths must be positive")
-    dw = (
-        2.0
-        * np.pi
-        * SPEED_OF_LIGHT_NM_PER_PS
-        * (1.0 / lam - 1.0 / channel.reference_nm)
-    )
+    dw = delta_omega(lam, channel.reference_nm)
     axes = [np.array(seg.axis) for seg in channel.segments]
     for start in range(0, len(out), _BLOCK_ROWS):
         block = out[start : start + _BLOCK_ROWS]
@@ -367,24 +346,6 @@ def estimate_dgd(central_angle_rad: float, span_nm: float, center_nm: float) -> 
     return float(central_angle_rad / width)
 
 
-def rotation_angle_for_dgd(dgd_ps: float, span_nm: float, center_nm: float) -> float:
-    """Inverse of :func:`estimate_dgd`: rotation swept by a given delay."""
-    if dgd_ps < 0.0:
-        raise ValidationError("delay must be non-negative")
-    lo = center_nm - 0.5 * span_nm
-    hi = center_nm + 0.5 * span_nm
-    return float(dgd_ps * abs(delta_omega(hi, lo)))
-
-
-def pmd_parameter(total_dgd_ps: float, length_km: float) -> float:
-    """Length-normalized PMD parameter in ps per sqrt(km)."""
-    if total_dgd_ps < 0.0:
-        raise ValidationError("delay must be non-negative")
-    if length_km <= 0.0:
-        raise ValidationError("length must be positive")
-    return float(total_dgd_ps / np.sqrt(length_km))
-
-
 def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
     """Spectrally averaged misalignment error a broadband pulse suffers.
 
@@ -419,27 +380,8 @@ def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
     return float(values[0]) if arr.ndim == 1 else values
 
 
-def write_trajectory_csv(path, points: Sequence[TrajectoryPoint]) -> None:
-    """Write a trajectory as CSV with header wavelength_nm,s1,s2,s3."""
-    with open(path, "w", newline="") as handle:
-        _write_trajectory(handle, points)
-
-
-def trajectory_csv_text(points: Sequence[TrajectoryPoint]) -> str:
-    buf = io.StringIO()
-    _write_trajectory(buf, points)
-    return buf.getvalue()
-
-
-def _write_trajectory(handle, points: Sequence[TrajectoryPoint]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["wavelength_nm", "s1", "s2", "s3"])
-    for p in points:
-        writer.writerow([repr(float(p.wavelength_nm))] + [repr(float(x)) for x in p.stokes])
-
-
 def read_trajectory_csv(path) -> list[TrajectoryPoint]:
-    """Read a trajectory CSV produced by :func:`write_trajectory_csv`."""
+    """Read a trajectory CSV as written by ``fiberqkd pmd sweep``."""
     points: list[TrajectoryPoint] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)

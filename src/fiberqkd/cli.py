@@ -211,7 +211,8 @@ def cmd_pmd_sweep(args) -> int:
         }
         _emit_json(doc, args.out)
     else:
-        _emit_text(channel_mod.trajectory_csv_text(points), args.out)
+        rows = [[p.wavelength_nm, *p.stokes] for p in points]
+        _emit_text(_csv_text(["wavelength_nm", "s1", "s2", "s3"], rows), args.out)
     return 0
 
 

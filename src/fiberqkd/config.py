@@ -26,6 +26,7 @@ from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthes
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
 from .keyrate import SecurityParams, sent_multiphoton_probability, whole_number
+from .polarization import require_unit
 from .protocol import AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates
 
 BUNDLED_SCENARIOS = ("deployed-3p5km", "spool-32p5km")
@@ -39,7 +40,6 @@ class Scenario:
     config: SessionConfig
     security: SecurityParams
     duration_s: float
-    raw: dict
 
     @cached_property
     def rate_model(self) -> RateModel:
@@ -64,25 +64,33 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _segment(seg: dict) -> FiberSegment:
+    axis = require_unit(_require(seg, "axis", "channel.segments"), "segment axis")
+    dgd = _require(seg, "dgd_ps", "channel.segments")
+    try:
+        dgd = float(dgd)
+    except (TypeError, ValueError):
+        raise ValidationError(f"segment dgd_ps must be a number, got {dgd!r}") from None
+    return FiberSegment(axis=tuple(axis.tolist()), dgd_ps=dgd)
+
+
 def _build_channel(doc: dict) -> FiberChannel:
     loss = float(_require(doc, "l_c", "channel"))
     reference = float(_require(doc, "reference_nm", "channel"))
     if "segments" in doc:
-        segments = tuple(
-            FiberSegment(
-                axis=tuple(float(x) for x in _require(seg, "axis", "channel.segments")),
-                dgd_ps=float(_require(seg, "dgd_ps", "channel.segments")),
-            )
-            for seg in doc["segments"]
-        )
+        segments = doc["segments"]
+        if not (isinstance(segments, list) and all(isinstance(seg, dict) for seg in segments)):
+            raise ValidationError("scenario channel.segments must be a list of objects")
         channel = FiberChannel(
-            segments=segments,
+            segments=tuple(_segment(seg) for seg in segments),
             loss_db=loss,
             length_km=float(_require(doc, "length_km", "channel")),
             reference_nm=reference,
         )
     elif "synthesize" in doc:
         synth = doc["synthesize"]
+        if not isinstance(synth, dict):
+            raise ValidationError("scenario channel.synthesize must be an object")
         n_segments = whole_number(_require(synth, "n_segments", "channel.synthesize"), "n_segments")
         seed = whole_number(_require(synth, "seed", "channel.synthesize"), "seed")
         channel = synthesize_channel(
@@ -181,7 +189,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         config=config,
         security=security,
         duration_s=float(doc.get("duration_s", 3600.0)),
-        raw=doc,
     )
 
 

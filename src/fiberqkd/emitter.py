@@ -177,7 +177,7 @@ def g2_of_delay(tau_ns, model: G2Model) -> np.ndarray:
     return 1.0 - (1.0 - model.g2_zero) * shape
 
 
-def fit_g2_cw(tau_ns, counts, p0: dict | None = None) -> tuple[G2Model, dict]:
+def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
     """Weighted fit of a CW coincidence histogram.
 
     Counts are Poisson weighted with sigma = sqrt(max(counts, 1)). Returns the
@@ -209,8 +209,6 @@ def fit_g2_cw(tau_ns, counts, p0: dict | None = None) -> tuple[G2Model, dict]:
         "tau1": span / 50.0,
         "tau2": span / 5.0,
     }
-    if p0:
-        guess.update(p0)
 
     sigma = np.sqrt(np.maximum(cts, 1.0))
     lower = [0.0, 0.0, 0.0, span * 1e-6, span * 1e-6]
@@ -232,8 +230,8 @@ def fit_g2_cw(tau_ns, counts, p0: dict | None = None) -> tuple[G2Model, dict]:
     except (RuntimeError, OptimizeWarning) as exc:
         raise FitConvergenceError(f"CW correlation fit did not converge: {exc}") from exc
     except ValueError as exc:
-        # curve_fit rejects start points outside the bounds box
-        raise ValidationError(f"unusable fit start point: {exc}") from exc
+        # curve_fit rejects non-finite data and an empty bounds box (all delays zero)
+        raise ValidationError(f"histogram cannot be fit: {exc}") from exc
 
     perr = np.sqrt(np.diag(pcov))
     if not np.all(np.isfinite(popt)):

@@ -259,24 +259,24 @@ class OptimizationResult:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Bracket of the key-basis probability, golden-section tolerance and the
+# step of the fine grid scanned when the objective is not unimodal.
+_P_KEY_LOWER = 0.5 + 1e-6
+_P_KEY_UPPER = 1.0 - 1e-4
+_SEARCH_TOL = 1e-5
+_GRID_STEP = 1e-4
 
-def optimize_basis_probability(
-    rate_fn: Callable[[float], float],
-    lower: float = 0.5 + 1e-6,
-    upper: float = 1.0 - 1e-4,
-    tol: float = 1e-5,
-    grid_step: float = 1e-4,
-) -> OptimizationResult:
+
+def optimize_basis_probability(rate_fn: Callable[[float], float]) -> OptimizationResult:
     """Maximize a secure-rate objective over the key-basis probability.
 
     Golden-section search first, then a coarse verification grid; if the grid
     beats the bracketed optimum the objective is not unimodal on the
-    interval, a fine grid at ``grid_step`` resolution is scanned and the
+    interval, a fine grid at ``_GRID_STEP`` resolution is scanned and the
     violation is flagged. The returned optimum is the best point evaluated
     anywhere, so a flagged result is still trustworthy at grid resolution.
     """
-    if not 0.5 <= lower < upper < 1.0:
-        raise ValidationError("need 0.5 <= lower < upper < 1")
+    lower, upper = _P_KEY_LOWER, _P_KEY_UPPER
     evals: list[tuple[float, float]] = []
 
     def measured(p: float) -> float:
@@ -288,7 +288,7 @@ def optimize_basis_probability(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = measured(c), measured(d)
-    while b - a > tol:
+    while b - a > _SEARCH_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -305,7 +305,7 @@ def optimize_basis_probability(
     violation = coarse_best > best_r + 1e-9 * max(1.0, abs(best_r))
     method = "golden-section"
     if violation:
-        fine = np.arange(lower, upper + 0.5 * grid_step, grid_step)
+        fine = np.arange(lower, upper + 0.5 * _GRID_STEP, _GRID_STEP)
         for p in fine:
             measured(float(min(p, upper)))
         method = "golden-section+grid"
@@ -432,20 +432,6 @@ def rate_vs_loss_curve(
     return rows
 
 
-def empirical_detection_probability(sifted_rate_bps: float, rep_rate_hz: float) -> float:
-    """Detection probability implied by a sifted rate through a passive receiver.
-
-    A 50/50 receiver sifts half of all detections whatever the transmitter
-    bias, so p_det is twice the sifted fraction per slot.
-    """
-    if sifted_rate_bps < 0.0 or rep_rate_hz <= 0.0:
-        raise ValidationError("rates must be positive")
-    p = 2.0 * sifted_rate_bps / rep_rate_hz
-    if p > 1.0:
-        raise ValidationError("sifted rate implies a detection probability above one")
-    return p
-
-
 def sent_multiphoton_probability(
     mu_source: float, g2_zero: float, alice_loss_db: float = 0.0
 ) -> float:
@@ -511,9 +497,7 @@ def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
     return tally, security, doc
 
 
-def key_analysis_document(
-    tally: KeyTally, security: SecurityParams, name: str | None = None, notes: str | None = None
-) -> dict:
+def key_analysis_document(tally: KeyTally, security: SecurityParams) -> dict:
     """Serializable key-analysis document matching :func:`load_key_analysis`."""
     doc = {
         "n_z": tally.n_key,
@@ -530,8 +514,4 @@ def key_analysis_document(
     }
     if tally.duration_s is not None:
         doc["duration_s"] = tally.duration_s
-    if name:
-        doc["name"] = name
-    if notes:
-        doc["notes"] = notes
     return doc

@@ -56,7 +56,7 @@ def phase_to_state(phi: float) -> np.ndarray:
     return np.array([0.0, np.cos(phi), np.sin(phi)])
 
 
-def require_unit(vec, what: str = "vector", tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def require_unit(vec, what: str = "vector") -> np.ndarray:
     """Return ``vec`` as a float array after checking it is a finite unit 3-vector.
 
     The norm is taken in scalar arithmetic, which on three numbers costs less
@@ -71,7 +71,7 @@ def require_unit(vec, what: str = "vector", tol: float = UNIT_NORM_TOL) -> np.nd
         raise ValidationError(f"{what} must be a 3-vector, got shape {arr.shape}")
     x, y, z = arr.tolist()
     norm = math.sqrt(x * x + y * y + z * z)
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
         raise ValidationError(f"{what} must be unit length, got |v| = {norm:.12g}")
     return arr
 

@@ -14,10 +14,9 @@ both call it.
 ``run_session`` is an event-driven Monte Carlo: geometric gaps skip the
 slots where nothing clicks, and only the clicked slots are drawn, in
 vectorized batches with a fixed draw order, so a seed pins the whole
-session byte for byte. ``transmit_and_measure`` is a scalar single-slot
-path kept apart from it as an independent reference.
-``expected_rates`` gives the matching closed-form detection, sifting and
-error rates used for calibration and for optimizer objectives.
+session byte for byte. ``expected_rates`` gives the matching closed-form
+detection, sifting and error rates used for calibration and for optimizer
+objectives.
 """
 
 from __future__ import annotations
@@ -184,10 +183,6 @@ class SessionConfig:
         survival_probability(self.device, self.channel.loss_db, self.detection_scale)
 
     @property
-    def check_basis(self) -> str:
-        return "LR" if self.key_basis == "DA" else "DA"
-
-    @property
     def p_da(self) -> float:
         """Probability that the transmitter prepares a DA-basis state."""
         return self.alice.p_key if self.key_basis == "DA" else self.alice.p_check
@@ -283,10 +278,6 @@ class SiftResult:
     @property
     def p_det(self) -> float:
         return self.n_detections / self.n_pulses if self.n_pulses else math.nan
-
-    @property
-    def sift_fraction(self) -> float:
-        return self.n_sifted / self.n_pulses if self.n_pulses else math.nan
 
 
 @dataclass(frozen=True)
@@ -436,39 +427,6 @@ def sift(
     outcomes = classify(alice_basis, np.array(bits, dtype=np.int64), clicks, policy, rng)
     counts = _tally(alice_basis, outcomes)
     return _sift_result(counts, len(alice) if n_pulses is None else n_pulses, key_basis)
-
-
-def transmit_and_measure(
-    basis: str, bit: int, config: SessionConfig, rng: np.random.Generator, slot: int = 0
-) -> SlotRecord:
-    """Scalar single-slot reference path, kept independent of the array engine."""
-    if basis not in BASIS_STATES:
-        raise ValidationError(f"unknown basis label {basis!r}")
-    if bit not in (0, 1):
-        raise ValidationError("bit must be 0 or 1")
-    state = PROTOCOL_STATES[BASIS_STATES[basis][bit]].vector
-    p_surv = survival_probability(
-        config.device, config.channel.loss_db, config.detection_scale
-    )
-    n_photons = sample_photon_number(config.stats, rng)
-    clicks = set()
-    for _ in range(n_photons):
-        if rng.random() >= p_surv:
-            continue
-        lam = float(config.spectrum.sample(rng, 1)[0])
-        out = apply_channel_rows(state[None, :], config.channel, [lam])[0]
-        meas_basis = "DA" if rng.random() < config.bob_split else "LR"
-        zero = stokes_of(BASIS_STATES[meas_basis][0])
-        p_zero = 0.5 * (1.0 + out @ zero)
-        meas_bit = 0 if rng.random() < p_zero else 1
-        if rng.random() < config.device.intrinsic_error:
-            meas_bit ^= 1
-        clicks.add(BASIS_STATES[meas_basis][meas_bit])
-    for det in DETECTOR_ORDER:
-        if rng.random() < config.device.dark_prob:
-            clicks.add(det)
-    ordered = tuple(d for d in DETECTOR_ORDER if d in clicks)
-    return SlotRecord(slot=slot, alice_basis=basis, alice_bit=bit, detections=ordered)
 
 
 def _category(rng: np.random.Generator, weights, size: int) -> np.ndarray:
@@ -668,14 +626,6 @@ class RateModel:
     key_basis: str
 
     @property
-    def sift_key(self) -> float:
-        return self.sift_da if self.key_basis == "DA" else self.sift_lr
-
-    @property
-    def sift_check(self) -> float:
-        return self.sift_lr if self.key_basis == "DA" else self.sift_da
-
-    @property
     def e_key(self) -> float:
         return self.qber_da if self.key_basis == "DA" else self.qber_lr
 
@@ -744,7 +694,7 @@ def closed_form_rates(
     )
 
 
-def expected_rates(config: SessionConfig, n_qber_samples: int = 201) -> RateModel:
+def expected_rates(config: SessionConfig) -> RateModel:
     """Closed-form rates for a full session configuration.
 
     Polarization error rates per basis come from the spectrally averaged
@@ -757,6 +707,5 @@ def expected_rates(config: SessionConfig, n_qber_samples: int = 201) -> RateMode
         [PROTOCOL_STATES[lbl].vector for basis in _BASIS_LABELS for lbl in BASIS_STATES[basis]],
         config.channel,
         config.spectrum,
-        n_qber_samples,
     )
     return config.rate_model(float(np.mean(e[:2])), float(np.mean(e[2:])))

@@ -12,26 +12,24 @@ from fiberqkd.channel import (
     FiberSegment,
     PmdVector,
     align_first_order_axis,
-    apply_channel,
     apply_channel_rows,
     delta_omega,
     estimate_dgd,
     first_order_pmd,
     fit_arc,
-    pmd_parameter,
     qber_from_pmd,
     read_trajectory_csv,
-    rotation_angle_for_dgd,
     sweep_trajectory,
     synthesize_channel,
-    trajectory_csv_text,
-    write_trajectory_csv,
 )
+from fiberqkd.cli import main as cli_main
+from fiberqkd.config import load_scenario
 from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import (
     PROTOCOL_STATES,
     random_unit,
+    require_unit,
     rotate,
     rotate_rows,
     rotation_taking,
@@ -61,12 +59,19 @@ def test_delta_omega_sign_and_validation():
         delta_omega(1310.0, 0.0)
 
 
+def test_delta_omega_of_an_array_is_each_wavelengths_own_detuning():
+    lam = np.linspace(1290.0, 1330.0, 41)
+    assert delta_omega(lam, 1309.5).tolist() == [delta_omega(x, 1309.5) for x in lam]
+    with pytest.raises(ValidationError):
+        delta_omega(np.array([1310.0, 0.0]), 1309.5)
+
+
 def test_channel_is_identity_at_reference_wavelength():
     ch = synthesize_channel(0.4, 10.0, 30, seed=2, reference_nm=1309.5)
     rng = np.random.default_rng(0)
     for _ in range(5):
         s = random_unit(rng)
-        assert np.allclose(apply_channel(s, ch, 1309.5), s, atol=1e-12)
+        assert np.allclose(_apply_channel(s, ch, 1309.5), s, atol=1e-12)
 
 
 def test_channel_preserves_unit_norm_across_band():
@@ -84,7 +89,16 @@ def test_apply_channel_rows_matches_scalar_path():
     wls = rng.uniform(1300.0, 1320.0, size=6)
     rows = apply_channel_rows(states, ch, wls)
     for i in range(6):
-        assert np.allclose(rows[i], apply_channel(states[i], ch, wls[i]), atol=1e-12)
+        assert np.allclose(rows[i], _apply_channel(states[i], ch, wls[i]), atol=1e-12)
+
+
+def _apply_channel(state, channel: FiberChannel, wavelength_nm: float) -> np.ndarray:
+    """Propagate one Stokes vector through the channel at one wavelength."""
+    dw = delta_omega(wavelength_nm, channel.reference_nm)
+    out = require_unit(state, "state")
+    for seg in channel.segments:
+        out = rotate(out, np.array(seg.axis), seg.dgd_ps * dw)
+    return out
 
 
 def _unblocked_channel_rows(states, channel, wavelengths_nm):
@@ -157,7 +171,6 @@ def test_synthesize_channel_segment_statistics():
         assert seg.dgd_ps == pytest.approx(per, rel=1e-12)
         assert np.linalg.norm(seg.axis) == pytest.approx(1.0, abs=1e-12)
     assert ch.loss_db == 11.2
-    assert ch.transmittance == pytest.approx(10 ** (-1.12), rel=1e-12)
 
 
 def test_synthesis_is_seed_deterministic():
@@ -279,14 +292,8 @@ def test_arc_fit_degenerate_cases():
 
 def test_rotation_angle_and_estimate_are_inverses():
     for dgd in (0.01, 0.117, 0.5, 2.0):
-        ang = rotation_angle_for_dgd(dgd, 7.0, 1310.0)
+        ang = dgd * abs(delta_omega(1313.5, 1306.5))
         assert estimate_dgd(ang, 7.0, 1310.0) == pytest.approx(dgd, rel=1e-12)
-
-
-def test_pmd_parameter():
-    assert pmd_parameter(0.117, 3.5) == pytest.approx(0.117 / np.sqrt(3.5), rel=1e-12)
-    with pytest.raises(ValidationError):
-        pmd_parameter(0.1, 0.0)
 
 
 def test_qber_from_pmd_rectangular_anchor():
@@ -299,7 +306,7 @@ def test_qber_from_pmd_rectangular_anchor():
     ch = single_segment()
     spec = EmitterSpectrum(center_nm=1310.0, fwhm_nm=7.0, shape="rectangular")
     q = qber_from_pmd(stokes_of("D"), ch, spec, n_samples=2001)
-    theta = rotation_angle_for_dgd(0.117, 7.0, 1310.0)
+    theta = 0.117 * abs(delta_omega(1313.5, 1306.5))
     closed = 0.5 - np.sin(theta / 2.0) / theta
     assert q == pytest.approx(closed, rel=2e-4)
     assert q == pytest.approx(0.016667098250207048, rel=1e-9)  # frozen quadrature
@@ -359,14 +366,12 @@ def test_qber_of_a_state_stack_is_each_states_own_error(shape):
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    ch = single_segment()
-    pts = sweep_trajectory(ch, stokes_of("L"), 1306.5, 1313.5, 12)
+    """``pmd sweep --out`` writes repr floats, so reading them back is exact."""
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, pts)
-    back = read_trajectory_csv(path)
-    assert len(back) == len(pts)
-    for a, b in zip(pts, back):
-        assert b.wavelength_nm == a.wavelength_nm
-        assert np.allclose(b.stokes, a.stokes, atol=0.0)  # repr round trip is exact
-    text = trajectory_csv_text(pts)
-    assert text.splitlines()[0] == "wavelength_nm,s1,s2,s3"
+    assert cli_main(["pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
+                     "--start", "1306.5", "--stop", "1313.5", "--points", "12",
+                     "--out", str(path)]) == 0
+    assert path.read_text().splitlines()[0] == "wavelength_nm,s1,s2,s3"
+    channel = load_scenario("deployed-3p5km").config.channel
+    swept = sweep_trajectory(channel, stokes_of("L"), 1306.5, 1313.5, 12)
+    assert read_trajectory_csv(path) == swept

@@ -61,7 +61,8 @@ def test_simulate_timeseries_csv(tmp_path):
                    "--pulses", "400000", "--window-s", "0.001",
                    "--timeseries", str(ts), "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(ts.open()))
+    with ts.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 5  # 0.001 s windows at 80 MHz over 4e5 pulses
     assert set(rows[0]) >= {"window_index", "qber", "sifted_bps"}
 
@@ -105,6 +106,19 @@ def test_pmd_sweep_fit_estimate_chain(tmp_path):
                    "--out", str(est_out)) == 0
     est = json.loads(est_out.read_text())
     assert est["dgd_ps"] > 0.0
+
+
+def test_pmd_sweep_csv_rows_equal_json_points(tmp_path):
+    paths = {fmt: tmp_path / f"traj.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert run_cli("pmd", "sweep", "--scenario", "spool-32p5km", "--points", "33",
+                       "--format", fmt, "--out", str(path)) == 0
+    with paths["csv"].open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["wavelength_nm", "s1", "s2", "s3"]
+    points = json.loads(paths["json"].read_text())["points"]
+    assert [[float(x) for x in row] for row in rows] == [
+        [p["wavelength_nm"], *p["stokes"]] for p in points]
 
 
 def test_pmd_estimate_from_angles(tmp_path):
@@ -163,7 +177,8 @@ def test_rate_curve_csv(tmp_path):
                    "--loss-min", "0", "--loss-max", "15", "--points", "6",
                    "--duration", "3600", "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 6
     for row in rows:
         assert float(row["finite_bps"]) <= float(row["gllp_bps"]) + 1e-9
@@ -246,11 +261,26 @@ def _set_synthesize(key, value):
     return edit
 
 
+_SEGMENT = {"axis": [0.0, 1.0, 0.0], "dgd_ps": 0.117}
+
+
 def _drop_segment_field(key):
     def edit(doc):
-        segment = {"axis": [0.0, 1.0, 0.0], "dgd_ps": 0.117}
+        segment = dict(_SEGMENT)
         del segment[key]
         _one_segment_channel(doc, segment)
+    return edit
+
+
+def _set_segment_field(key, value):
+    def edit(doc):
+        _one_segment_channel(doc, {**_SEGMENT, key: value})
+    return edit
+
+
+def _set_channel(key, value):
+    def edit(doc):
+        doc["channel"][key] = value
     return edit
 
 
@@ -263,10 +293,20 @@ def _drop_segment_field(key):
     _set_synthesize("seed", -1),
     _drop_segment_field("axis"),
     _drop_segment_field("dgd_ps"),
+    _set_segment_field("axis", ["x", 0, 0]),
+    _set_segment_field("axis", 5),
+    _set_segment_field("axis", None),
+    _set_segment_field("dgd_ps", "fast"),
+    _set_channel("segments", 5),
+    _set_channel("segments", [5]),
+    _set_channel("synthesize", None),
 ], ids=["n_segments-fractional", "n_segments-text", "n_segments-null", "seed-fractional",
-        "seed-text", "seed-negative", "segment-without-axis", "segment-without-dgd"])
+        "seed-text", "seed-negative", "segment-without-axis", "segment-without-dgd",
+        "segment-axis-text", "segment-axis-number", "segment-axis-null", "segment-dgd-text",
+        "segments-number", "segments-of-numbers", "synthesize-null"])
 def test_exit_code_one_on_malformed_channel(tmp_path, capsys, edit):
-    """Channel counts are whole numbers, never truncated, and segments are complete."""
+    """Channel counts are whole numbers, never truncated, and segments are
+    complete, numeric and spelled out as a list of objects."""
     doc = _deployed_doc()
     edit(doc)
     path = tmp_path / "channel.json"

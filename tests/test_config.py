@@ -67,7 +67,8 @@ def test_calibration_needs_no_misalignment_errors(name):
     config = replace(scn.config, detection_scale=1.0)
     model = expected_rates(config)
     assert model.e_pol_da > 0.0 and model.e_pol_lr > 0.0
-    target = scn.raw["calibration"]["sifted_rate_target_bps"]
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    target = doc["calibration"]["sifted_rate_target_bps"]
     device = config.device
     total_db = device.alice_loss_db + config.channel.loss_db + device.bob_loss_db
     scale_max = 1.0 / (10.0 ** (-total_db / 10.0) * device.detector_efficiency)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fiberqkd.cli import main as cli_main
 from fiberqkd.emitter import (
     EmitterSpectrum,
     G2Model,
@@ -170,10 +171,14 @@ def test_cw_fit_maps_optimizer_failure(monkeypatch):
         fit_g2_cw(tau, counts)
 
 
-def test_cw_fit_rejects_start_point_outside_bounds():
-    tau, counts, _ = make_cw_histogram()
+def test_cw_fit_rejects_histogram_without_delay_spread(tmp_path, capsys):
+    """All delays zero leave the fit an empty bounds box: bad input, exit 1."""
     with pytest.raises(ValidationError):
-        fit_g2_cw(tau, counts, p0={"tau1": 1e-12})
+        fit_g2_cw(np.zeros(20), np.full(20, 100.0))
+    path = tmp_path / "zero-delays.csv"
+    path.write_text("tau_ns,counts\n" + "0.0,100\n" * 20)
+    assert cli_main(["g2", "fit-cw", "--histogram", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_pulsed_g2_exact_on_noiseless_peaks():
