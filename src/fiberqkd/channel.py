@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ValidationError
 from .polarization import (
@@ -261,6 +260,8 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
     ordered along the sweep with adjacent azimuth steps below half a turn,
     otherwise the unwrapped rotation angle is ambiguous.
     """
+    from scipy.optimize import least_squares  # imported on use: slow to load
+
     if len(points) < 3:
         raise ValidationError("an arc fit needs at least three points")
     pts = np.array([p.stokes for p in points], dtype=float)

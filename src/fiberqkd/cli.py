@@ -343,17 +343,18 @@ def cmd_rate_curve(args) -> int:
     cfg = scenario.config
     duration = args.duration if args.duration is not None else scenario.duration_s
 
-    def model_at(loss_db: float):
-        return cfg.rate_model(inputs["e_pol_da"], inputs["e_pol_lr"], channel_loss_db=loss_db)
-
-    grid = np.linspace(args.loss_min, args.loss_max, args.points)
+    grid = [float(x) for x in np.linspace(args.loss_min, args.loss_max, args.points)]
+    models = [
+        cfg.rate_model(inputs["e_pol_da"], inputs["e_pol_lr"], channel_loss_db=loss)
+        for loss in grid
+    ]
     rows = rate_vs_loss_curve(
         rep_rate_hz=cfg.device.rep_rate_hz,
-        p_det_of_loss=lambda loss: model_at(loss).p_det,
-        qber_of_loss=lambda loss: model_at(loss).qber_pooled,
+        p_det=[model.p_det for model in models],
+        qber=[model.qber_pooled for model in models],
         p_multi=inputs["p_multi"],
         security=scenario.security,
-        loss_grid_db=[float(x) for x in grid],
+        loss_grid_db=grid,
         duration_s=duration,
         p_key=cfg.alice.p_key,
         bob_key_share=inputs["bob_key_share"],

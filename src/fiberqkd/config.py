@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 
-from scipy.optimize import brentq
-
 from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthesize_channel
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
@@ -64,19 +62,34 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
+    """A sub-object of a scenario document; an absent optional one reads as empty."""
+    value = _require(doc, key, where) if required else doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"scenario {key} section must be an object, got {value!r}")
+    return value
+
+
+def _number(doc: dict, key: str, where: str, default: float | None = None) -> float:
+    """A numeric field; ``default`` stands in for an absent optional one."""
+    value = _require(doc, key, where) if default is None else doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"scenario {where} field {key!r} must be a number, got {value!r}"
+        ) from None
+
+
 def _segment(seg: dict) -> FiberSegment:
     axis = require_unit(_require(seg, "axis", "channel.segments"), "segment axis")
-    dgd = _require(seg, "dgd_ps", "channel.segments")
-    try:
-        dgd = float(dgd)
-    except (TypeError, ValueError):
-        raise ValidationError(f"segment dgd_ps must be a number, got {dgd!r}") from None
+    dgd = _number(seg, "dgd_ps", "channel.segments")
     return FiberSegment(axis=tuple(axis.tolist()), dgd_ps=dgd)
 
 
 def _build_channel(doc: dict) -> FiberChannel:
-    loss = float(_require(doc, "l_c", "channel"))
-    reference = float(_require(doc, "reference_nm", "channel"))
+    loss = _number(doc, "l_c", "channel")
+    reference = _number(doc, "reference_nm", "channel")
     if "segments" in doc:
         segments = doc["segments"]
         if not (isinstance(segments, list) and all(isinstance(seg, dict) for seg in segments)):
@@ -84,18 +97,16 @@ def _build_channel(doc: dict) -> FiberChannel:
         channel = FiberChannel(
             segments=tuple(_segment(seg) for seg in segments),
             loss_db=loss,
-            length_km=float(_require(doc, "length_km", "channel")),
+            length_km=_number(doc, "length_km", "channel"),
             reference_nm=reference,
         )
     elif "synthesize" in doc:
-        synth = doc["synthesize"]
-        if not isinstance(synth, dict):
-            raise ValidationError("scenario channel.synthesize must be an object")
+        synth = _section(doc, "synthesize", "channel")
         n_segments = whole_number(_require(synth, "n_segments", "channel.synthesize"), "n_segments")
         seed = whole_number(_require(synth, "seed", "channel.synthesize"), "seed")
         channel = synthesize_channel(
-            pmd_param_ps_per_sqrt_km=float(_require(synth, "pmd_param", "channel.synthesize")),
-            length_km=float(_require(synth, "length_km", "channel.synthesize")),
+            pmd_param_ps_per_sqrt_km=_number(synth, "pmd_param", "channel.synthesize"),
+            length_km=_number(synth, "length_km", "channel.synthesize"),
             n_segments=n_segments,
             seed=seed,
             loss_db=loss,
@@ -115,6 +126,8 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     The closed-form sifted rate does not depend on the misalignment errors,
     so the solve sets them to zero and runs no quadrature.
     """
+    from scipy.optimize import brentq  # imported on use: slow to load
+
     if not target_bps > 0.0:
         raise ValidationError("sifted-rate target must be positive")
     device = config.device
@@ -138,34 +151,37 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a scenario from its JSON document."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
-    dev = _require(doc, "device", "top level")
+    dev = _section(doc, "device", "top level")
     device = DeviceParams(
-        rep_rate_hz=float(_require(dev, "nu_rep", "device")),
-        detector_efficiency=float(_require(dev, "eta_det", "device")),
-        dark_prob=float(_require(dev, "p_dark", "device")),
-        intrinsic_error=float(_require(dev, "e0", "device")),
-        alice_loss_db=float(dev.get("l_a", 0.0)),
-        bob_loss_db=float(dev.get("l_b", 0.0)),
+        rep_rate_hz=_number(dev, "nu_rep", "device"),
+        detector_efficiency=_number(dev, "eta_det", "device"),
+        dark_prob=_number(dev, "p_dark", "device"),
+        intrinsic_error=_number(dev, "e0", "device"),
+        alice_loss_db=_number(dev, "l_a", "device", 0.0),
+        bob_loss_db=_number(dev, "l_b", "device", 0.0),
     )
     stats = PhotonStatistics(
-        mu=float(_require(dev, "r_c", "device")),
-        g2_zero=float(_require(dev, "g2_zero", "device")),
+        mu=_number(dev, "r_c", "device"),
+        g2_zero=_number(dev, "g2_zero", "device"),
     )
-    emit = _require(doc, "emitter", "top level")
+    emit = _section(doc, "emitter", "top level")
     spectrum = EmitterSpectrum(
-        center_nm=float(_require(emit, "center_nm", "emitter")),
-        fwhm_nm=float(_require(emit, "fwhm_nm", "emitter")),
+        center_nm=_number(emit, "center_nm", "emitter"),
+        fwhm_nm=_number(emit, "fwhm_nm", "emitter"),
         shape=emit.get("shape", "gaussian"),
     )
-    channel = _build_channel(_require(doc, "channel", "top level"))
-    alice = AliceSettings(p_key=float(doc.get("alice", {}).get("p_key", 0.5)))
-    receiver = doc.get("receiver", {})
-    sec = doc.get("security", {})
+    channel = _build_channel(_section(doc, "channel", "top level"))
+    alice_doc = _section(doc, "alice", "top level", required=False)
+    alice = AliceSettings(p_key=_number(alice_doc, "p_key", "alice", 0.5))
+    receiver = _section(doc, "receiver", "top level", required=False)
+    sec = _section(doc, "security", "top level", required=False)
     security = SecurityParams(
-        eps_sec=float(sec.get("eps_sec", 1e-12)),
-        eps_cor=float(sec.get("eps_cor", 1e-12)),
-        f=float(sec.get("f", 1.16)),
+        eps_sec=_number(sec, "eps_sec", "security", 1e-12),
+        eps_cor=_number(sec, "eps_cor", "security", 1e-12),
+        f=_number(sec, "f", "security", 1.16),
     )
     config = SessionConfig(
         device=device,
@@ -173,22 +189,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
         spectrum=spectrum,
         channel=channel,
         alice=alice,
-        bob_split=float(receiver.get("bob_split", 0.5)),
+        bob_split=_number(receiver, "bob_split", "receiver", 0.5),
         key_basis=doc.get("key_basis", "DA"),
         double_click_policy=receiver.get("double_click_policy", "discard"),
         detection_scale=1.0,
-        window_s=float(doc.get("window_s", 20.0)),
+        window_s=_number(doc, "window_s", "top level", 20.0),
     )
-    calibration = doc.get("calibration", {})
-    target = calibration.get("sifted_rate_target_bps")
-    if target is not None:
-        scale = _solve_detection_scale(config, float(target))
-        config = replace(config, detection_scale=scale)
+    calibration = _section(doc, "calibration", "top level", required=False)
+    if calibration.get("sifted_rate_target_bps") is not None:
+        target = _number(calibration, "sifted_rate_target_bps", "calibration")
+        config = replace(config, detection_scale=_solve_detection_scale(config, target))
     return Scenario(
         name=name,
         config=config,
         security=security,
-        duration_s=float(doc.get("duration_s", 3600.0)),
+        duration_s=_number(doc, "duration_s", "top level", 3600.0),
     )
 
 

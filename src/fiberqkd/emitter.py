@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.special import erf
 
 from .errors import FitConvergenceError, ValidationError
@@ -184,6 +183,8 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
     fitted model plus a report with parameters, one-sigma errors and the
     reduced chi-square. Raises FitConvergenceError when the optimizer fails.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit  # imported on use: slow to load
+
     tau = np.asarray(tau_ns, dtype=float)
     cts = np.asarray(counts, dtype=float)
     if tau.shape != cts.shape or tau.ndim != 1:

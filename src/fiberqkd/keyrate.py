@@ -12,6 +12,10 @@ that shrinks as both sample sizes grow.
 An asymptotic reference bound in the style of the usual single-photon
 tagging argument is included for consistency checks, together with a
 basis-bias optimizer and a rate-versus-loss curve builder.
+
+The bound is evaluated elementwise over arrays of operating points, so a
+whole grid of basis biases or channel losses costs one pass;
+:func:`secure_key_length` is its scalar form for one recorded session.
 """
 
 from __future__ import annotations
@@ -29,6 +33,16 @@ from .errors import ValidationError
 _LN2 = math.log(2.0)
 
 
+def _all(condition) -> bool:
+    """``np.all`` without numpy's reduction overhead on a scalar condition."""
+    return bool(condition.all()) if getattr(condition, "ndim", 0) else bool(condition)
+
+
+def _float_if_scalar(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if getattr(value, "ndim", 0) == 0 else value
+
+
 def binary_entropy(q):
     """Shannon entropy of a bit with probability ``q``, in bits.
 
@@ -36,47 +50,51 @@ def binary_entropy(q):
     uses log1p so arguments near one keep full precision.
     """
     arr = np.asarray(q, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if not _all(~((arr < 0.0) | (arr > 1.0))):
         raise ValidationError("entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0.0) & (arr < 1.0)
     qi = arr[inner]
     out[inner] = -(qi * np.log(qi) + (1.0 - qi) * np.log1p(-qi)) / _LN2
-    if np.isscalar(q) or getattr(q, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
-def multiphoton_correction(p_multi: float, p_det: float, p_basis: float) -> float:
+def multiphoton_correction(p_multi, p_det, p_basis):
     """Single-photon fraction credited to one basis's detections.
 
     Every multi-photon emission is conservatively counted against the
     detections routed to this basis, hence the division by both the overall
     detection probability and the basis probability. May come out
-    non-positive when multi-photon emissions dominate.
+    non-positive when multi-photon emissions dominate. Elementwise over
+    arrays.
     """
-    if p_det <= 0.0:
+    if not _all(p_det > 0.0):
         raise ValidationError("detection probability must be positive")
-    if not 0.0 < p_basis <= 1.0:
+    if not _all((p_basis > 0.0) & (p_basis <= 1.0)):
         raise ValidationError("basis probability must lie in (0, 1]")
-    if p_multi < 0.0:
+    if not _all(p_multi >= 0.0):
         raise ValidationError("multi-photon probability must be non-negative")
     return 1.0 - p_multi / (p_det * p_basis)
 
 
-def fluctuation_delta(n_key: int, n_check: int, eps_sec: float) -> float:
-    """Deviation allowance between check-basis estimate and key-basis phase error."""
-    if n_key < 1 or n_check < 1:
+def fluctuation_delta(n_key, n_check, eps_sec: float):
+    """Deviation allowance between check-basis estimate and key-basis phase error.
+
+    Elementwise over arrays of counts; a scalar pair gives a float.
+    """
+    n_key = np.asarray(n_key, dtype=float)
+    n_check = np.asarray(n_check, dtype=float)
+    if not (_all(n_key >= 1.0) and _all(n_check >= 1.0)):
         raise ValidationError("both sifted counts must be at least one")
     if not 0.0 < eps_sec < 1.0:
         raise ValidationError("secrecy failure probability must lie in (0, 1)")
-    ratio = (n_key + n_check) * (n_check + 1.0) / (n_key * float(n_check) ** 2)
-    return math.sqrt(ratio * math.log(2.0 / eps_sec))
+    ratio = (n_key + n_check) * (n_check + 1.0) / (n_key * (n_check * n_check))
+    return _float_if_scalar(np.sqrt(ratio * math.log(2.0 / eps_sec)))
 
 
-def leakage_ec(n_key: int, e_key: float, f: float) -> float:
+def leakage_ec(n_key, e_key, f: float):
     """Bits disclosed by error correction at reconciliation efficiency ``f``."""
-    if n_key < 0:
+    if not _all(n_key >= 0):
         raise ValidationError("key count must be non-negative")
     if f < 1.0:
         raise ValidationError("reconciliation efficiency factor must be at least one")
@@ -161,85 +179,113 @@ class KeyResult:
     terms: dict
 
 
+def _secure_length(n_key, n_check, e_key, e_check, p_key, p_check, p_det, p_multi,
+                   security: SecurityParams):
+    """Secure length in bits and its terms, elementwise over broadcast inputs.
+
+    The one implementation of the finite-key bound; returns
+    ``(length, live, terms)``. A point is live when both counts are at least
+    one and both bases keep a positive single-photon credit. Elsewhere the
+    length is zero and the statistical terms are evaluated at placeholder
+    counts and credits, so they carry no meaning there. The entropy argument
+    is clamped at one half, which zeroes the one-way rate.
+    """
+    n_key = np.asarray(n_key, dtype=float)
+    n_check = np.asarray(n_check, dtype=float)
+    a_key = multiphoton_correction(p_multi, p_det, p_key)
+    a_check = multiphoton_correction(p_multi, p_det, p_check)
+    live = (n_key >= 1.0) & (n_check >= 1.0) & (a_key > 0.0) & (a_check > 0.0)
+    n_live = np.where(live, n_key, 1.0)
+    q_check = e_check / np.where(live, a_check, 1.0)
+    delta = fluctuation_delta(n_live, np.where(live, n_check, 1.0), security.eps_sec)
+    h_arg = np.minimum(q_check + delta, 0.5)
+    leak = leakage_ec(n_live, e_key, security.f)
+    log_term = math.log2(2.0 / (security.eps_sec**2 * security.eps_cor))
+    raw = n_live * a_key * (1.0 - binary_entropy(h_arg)) - leak - log_term
+    length = np.where(live, np.maximum(np.floor(raw), 0.0), 0.0)
+    terms = {
+        "a_key": a_key,
+        "a_check": a_check,
+        "log_term": log_term,
+        "q_check": q_check,
+        "delta": delta,
+        "h_arg": h_arg,
+        "leak_ec": leak,
+        "raw_bits": raw,
+    }
+    return length, live, terms
+
+
 def secure_key_length(tally: KeyTally, security: SecurityParams) -> KeyResult:
     """Composably secure key length of one finite session.
 
     Statuses: "ok"; "multi-photon dominated" when a basis's single-photon
-    credit is non-positive (zero key, no entropy term evaluated); "noise
+    credit is non-positive (zero key, NaN statistical terms); "noise
     dominated" when the phase-error estimate plus deviation reaches one half
     (the entropy argument is clamped there, which zeroes the one-way rate).
     """
-    a_key = multiphoton_correction(tally.p_multi, tally.p_det, tally.p_key)
-    a_check = multiphoton_correction(tally.p_multi, tally.p_det, tally.p_check)
-    log_term = math.log2(2.0 / (security.eps_sec**2 * security.eps_cor))
-    terms: dict = {
-        "a_key": a_key,
-        "a_check": a_check,
-        "log_term": log_term,
-    }
-    if a_key <= 0.0 or a_check <= 0.0:
+    length, live, terms = _secure_length(
+        tally.n_key, tally.n_check, tally.e_key, tally.e_check,
+        tally.p_key, tally.p_check, tally.p_det, tally.p_multi, security,
+    )
+    terms = {name: float(value) for name, value in terms.items()}
+    if not live:  # the tally's counts are at least one, so a credit is non-positive
+        status = "multi-photon dominated"
         terms.update(q_check=math.nan, delta=math.nan, h_arg=math.nan,
                      leak_ec=math.nan, raw_bits=-math.inf)
-        rate = 0.0 if tally.duration_s else None
-        return KeyResult(0, rate, "multi-photon dominated", terms)
-
-    q_check = tally.e_check / a_check
-    delta = fluctuation_delta(tally.n_key, tally.n_check, security.eps_sec)
-    h_arg = q_check + delta
-    status = "ok"
-    if h_arg >= 0.5:
-        h_arg = 0.5
+    elif terms["h_arg"] == 0.5:
         status = "noise dominated"
-    leak = leakage_ec(tally.n_key, tally.e_key, security.f)
-    raw = tally.n_key * a_key * (1.0 - binary_entropy(h_arg)) - leak - log_term
-    length = max(0, math.floor(raw))
-    terms.update(
-        q_check=q_check,
-        delta=delta,
-        h_arg=h_arg,
-        leak_ec=leak,
-        raw_bits=raw,
-    )
+    else:
+        status = "ok"
+    length = int(length)
     rate = length / tally.duration_s if tally.duration_s else None
     return KeyResult(length, rate, status, terms)
 
 
-def asymptotic_key_fraction(
-    e_key: float, e_check: float, p_det: float, p_multi: float, f: float
-) -> float:
+def _asymptotic_fraction(a_key, a_check, e_key, e_check, f: float):
+    """Large-sample secure fraction per sifted bit, elementwise.
+
+    a_key (1 - h(min(e_check / a_check, 1/2))) - f h(e_key), clamped at zero
+    and zero wherever either single-photon credit is non-positive.
+    """
+    live = (a_key > 0.0) & (a_check > 0.0)
+    q = np.minimum(e_check / np.where(live, a_check, 1.0), 0.5)
+    fraction = a_key * (1.0 - binary_entropy(q)) - f * binary_entropy(e_key)
+    return np.where(live & (fraction > 0.0), fraction, 0.0)
+
+
+def asymptotic_key_fraction(e_key, e_check, p_det, p_multi, f: float):
     """Per-sifted-bit secure fraction in the large-sample limit.
 
     Same structure as the finite bound with the deviation term and the
     finite-size log removed, and the full detection probability backing the
-    single-photon credit.
+    single-photon credit. Elementwise over arrays; scalars give a float.
     """
     a = multiphoton_correction(p_multi, p_det, 1.0)
-    if a <= 0.0:
-        return 0.0
-    q = min(e_check / a, 0.5)
-    return max(0.0, a * (1.0 - binary_entropy(q)) - f * binary_entropy(e_key))
+    return _float_if_scalar(_asymptotic_fraction(a, a, e_key, e_check, f))
 
 
 def gllp_asymptotic_rate(
     rep_rate_hz: float,
-    p_det: float,
-    qber: float,
+    p_det,
+    qber,
     p_multi: float,
     f: float,
     sift_factor: float = 0.5,
-) -> float:
+):
     """Asymptotic secure rate in bits per second.
 
     ``sift_factor`` is the fraction of detections that become sifted key
     material; one half for a balanced passive receiver, approaching the
-    key-basis share in strongly biased operation.
+    key-basis share in strongly biased operation. ``p_det`` and ``qber`` may
+    be arrays of operating points; scalars give a float.
     """
     if rep_rate_hz <= 0.0:
         raise ValidationError("repetition rate must be positive")
     if not 0.0 <= sift_factor <= 1.0:
         raise ValidationError("sift factor must lie in [0, 1]")
     fraction = asymptotic_key_fraction(qber, qber, p_det, p_multi, f)
-    return rep_rate_hz * p_det * sift_factor * fraction
+    return _float_if_scalar(rep_rate_hz * p_det * sift_factor * fraction)
 
 
 @dataclass(frozen=True)
@@ -267,7 +313,7 @@ _SEARCH_TOL = 1e-5
 _GRID_STEP = 1e-4
 
 
-def optimize_basis_probability(rate_fn: Callable[[float], float]) -> OptimizationResult:
+def optimize_basis_probability(rate_fn: Callable) -> OptimizationResult:
     """Maximize a secure-rate objective over the key-basis probability.
 
     Golden-section search first, then a coarse verification grid; if the grid
@@ -275,6 +321,9 @@ def optimize_basis_probability(rate_fn: Callable[[float], float]) -> Optimizatio
     interval, a fine grid at ``_GRID_STEP`` resolution is scanned and the
     violation is flagged. The returned optimum is the best point evaluated
     anywhere, so a flagged result is still trustworthy at grid resolution.
+
+    ``rate_fn`` takes a float for each golden-section step and a whole grid
+    as one array, which it must map elementwise.
     """
     lower, upper = _P_KEY_LOWER, _P_KEY_UPPER
     evals: list[tuple[float, float]] = []
@@ -283,6 +332,11 @@ def optimize_basis_probability(rate_fn: Callable[[float], float]) -> Optimizatio
         r = float(rate_fn(p))
         evals.append((p, r))
         return r
+
+    def measured_grid(points: np.ndarray) -> list[float]:
+        rates = np.asarray(rate_fn(points), dtype=float).tolist()
+        evals.extend(zip(points.tolist(), rates))
+        return rates
 
     a, b = lower, upper
     c = b - _GOLDEN * (b - a)
@@ -299,15 +353,12 @@ def optimize_basis_probability(rate_fn: Callable[[float], float]) -> Optimizatio
             fd = measured(d)
     best_p, best_r = max(evals, key=lambda pr: pr[1])
 
-    coarse = np.linspace(lower, upper, 201)
-    coarse_vals = [measured(float(p)) for p in coarse]
-    coarse_best = max(coarse_vals)
+    coarse_best = max(measured_grid(np.linspace(lower, upper, 201)))
     violation = coarse_best > best_r + 1e-9 * max(1.0, abs(best_r))
     method = "golden-section"
     if violation:
         fine = np.arange(lower, upper + 0.5 * _GRID_STEP, _GRID_STEP)
-        for p in fine:
-            measured(float(min(p, upper)))
+        measured_grid(np.minimum(fine, upper))
         method = "golden-section+grid"
     best_p, best_r = max(evals, key=lambda pr: pr[1])
     return OptimizationResult(
@@ -316,6 +367,17 @@ def optimize_basis_probability(rate_fn: Callable[[float], float]) -> Optimizatio
         evaluations=tuple(evals),
         unimodality_violation=bool(violation),
         method=method,
+    )
+
+
+def _planning_counts(p_det, p_key, duration_s, rep_rate_hz, bob_key_share):
+    """Floored expected sifted counts of both bases: T * rate * p_det * shares."""
+    if not 0.0 < duration_s < math.inf:
+        raise ValidationError("duration must be positive and finite")
+    base = duration_s * rep_rate_hz * p_det
+    return (
+        np.floor(base * p_key * bob_key_share),
+        np.floor(base * (1.0 - p_key) * (1.0 - bob_key_share)),
     )
 
 
@@ -334,17 +396,12 @@ def expected_tally(
     Returns None when either expected count floors to zero, which callers
     treat as a zero-rate operating point.
     """
-    if not 0.0 < duration_s < math.inf:
-        raise ValidationError("duration must be positive and finite")
-    n_key = math.floor(duration_s * rep_rate_hz * p_det * p_key * bob_key_share)
-    n_check = math.floor(
-        duration_s * rep_rate_hz * p_det * (1.0 - p_key) * (1.0 - bob_key_share)
-    )
+    n_key, n_check = _planning_counts(p_det, p_key, duration_s, rep_rate_hz, bob_key_share)
     if n_key < 1 or n_check < 1:
         return None
     return KeyTally(
-        n_key=n_key,
-        n_check=n_check,
+        n_key=int(n_key),
+        n_check=int(n_check),
         e_key=e_key,
         e_check=e_check,
         p_key=p_key,
@@ -364,42 +421,45 @@ def planning_rate_function(
     rep_rate_hz: float,
     security: SecurityParams,
     bob_key_share: float = 0.5,
-) -> Callable[[float], float]:
+) -> Callable:
     """Secure-rate objective over the key-basis probability.
 
-    With an infinite duration the deviation and log terms drop out and the
-    per-second asymptotic rate of the same count model is returned instead.
+    The objective maps a float to a float and an array of key-basis
+    probabilities elementwise to an array. An operating point whose expected
+    counts floor to zero in either basis has rate zero. With an infinite
+    duration the deviation and log terms drop out and the per-second
+    asymptotic rate of the same count model is returned instead.
     """
+    if not (0.0 < p_det <= 1.0 and 0.0 <= e_key <= 1.0 and 0.0 <= e_check <= 1.0
+            and p_multi >= 0.0):
+        raise ValidationError(
+            "planning needs p_det in (0, 1], error rates in [0, 1] and p_multi >= 0"
+        )
     if math.isinf(duration_s):
 
-        def asymptotic(p_key: float) -> float:
+        def asymptotic(p_key):
             a_key = multiphoton_correction(p_multi, p_det, p_key)
             a_check = multiphoton_correction(p_multi, p_det, 1.0 - p_key)
-            if a_key <= 0.0 or a_check <= 0.0:
-                return 0.0
-            q = min(e_check / a_check, 0.5)
-            fraction = a_key * (1.0 - binary_entropy(q)) - security.f * binary_entropy(e_key)
             share = rep_rate_hz * p_det * p_key * bob_key_share
-            return max(0.0, share * fraction)
+            fraction = _asymptotic_fraction(a_key, a_check, e_key, e_check, security.f)
+            return _float_if_scalar(share * fraction)
 
         return asymptotic
 
-    def finite(p_key: float) -> float:
-        tally = expected_tally(
-            p_det, e_key, e_check, p_key, p_multi, duration_s, rep_rate_hz, bob_key_share
+    def finite(p_key):
+        n_key, n_check = _planning_counts(p_det, p_key, duration_s, rep_rate_hz, bob_key_share)
+        length, _, _ = _secure_length(
+            n_key, n_check, e_key, e_check, p_key, 1.0 - p_key, p_det, p_multi, security
         )
-        if tally is None:
-            return 0.0
-        result = secure_key_length(tally, security)
-        return result.rate_bps or 0.0
+        return _float_if_scalar(length / duration_s)
 
     return finite
 
 
 def rate_vs_loss_curve(
     rep_rate_hz: float,
-    p_det_of_loss: Callable[[float], float],
-    qber_of_loss: Callable[[float], float],
+    p_det: Sequence[float],
+    qber: Sequence[float],
     p_multi: float,
     security: SecurityParams,
     loss_grid_db: Sequence[float],
@@ -409,27 +469,26 @@ def rate_vs_loss_curve(
 ) -> list[dict]:
     """Finite and asymptotic secure rates across a channel-loss grid.
 
-    Both columns use the basis-pooled error rate and the same sifted-share
-    normalization ``p_key * bob_key_share``, so the finite column can never
-    exceed the asymptotic one.
+    ``p_det`` and ``qber`` hold the detection probability and the
+    basis-pooled error rate at each loss of the grid. Both columns use that
+    error rate and the same sifted-share normalization
+    ``p_key * bob_key_share``, so the finite column can never exceed the
+    asymptotic one.
     """
-    rows = []
-    for loss in loss_grid_db:
-        p_det = p_det_of_loss(loss)
-        e = qber_of_loss(loss)
-        tally = expected_tally(
-            p_det, e, e, p_key, p_multi, duration_s, rep_rate_hz, bob_key_share
-        )
-        finite = 0.0
-        if tally is not None:
-            finite = secure_key_length(tally, security).rate_bps or 0.0
-        gllp = gllp_asymptotic_rate(
-            rep_rate_hz, p_det, e, p_multi, security.f, sift_factor=p_key * bob_key_share
-        )
-        rows.append(
-            {"loss_db": float(loss), "finite_bps": float(finite), "gllp_bps": float(gllp)}
-        )
-    return rows
+    p_det = np.asarray(p_det, dtype=float)
+    qber = np.asarray(qber, dtype=float)
+    n_key, n_check = _planning_counts(p_det, p_key, duration_s, rep_rate_hz, bob_key_share)
+    length, _, _ = _secure_length(
+        n_key, n_check, qber, qber, p_key, 1.0 - p_key, p_det, p_multi, security
+    )
+    finite = length / duration_s
+    gllp = gllp_asymptotic_rate(
+        rep_rate_hz, p_det, qber, p_multi, security.f, sift_factor=p_key * bob_key_share
+    )
+    return [
+        {"loss_db": float(loss), "finite_bps": f, "gllp_bps": g}
+        for loss, f, g in zip(loss_grid_db, finite.tolist(), gllp.tolist())
+    ]
 
 
 def sent_multiphoton_probability(

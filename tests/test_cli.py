@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fiberqkd
 import fiberqkd.channel
 from fiberqkd.cli import main
 from fiberqkd.config import bundled_scenario_path, load_scenario
@@ -315,6 +319,34 @@ def test_exit_code_one_on_malformed_channel(tmp_path, capsys, edit):
     assert "error:" in capsys.readouterr().err
 
 
+def _with(value, *keys):
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [doc],
+    _with("fast", "device", "nu_rep"),
+    _with("x", "channel", "l_c"),
+    _with("fast", "channel", "synthesize", "pmd_param"),
+    _with(None, "alice"),
+    _with("x", "receiver"),
+    _with(None, "calibration"),
+], ids=["document-list", "nu_rep-text", "l_c-text", "pmd_param-text", "alice-null",
+        "receiver-text", "calibration-null"])
+def test_exit_code_one_on_malformed_scenario(tmp_path, capsys, edit):
+    """Every scenario section is an object and every number field a number."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edit(_deployed_doc())))
+    assert run_cli("pmd", "sweep", "--scenario", str(path)) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("p_m", math.nan),
     ("f", math.nan),
@@ -390,6 +422,23 @@ def test_simulate_expected_block_matches_expected_rates(tmp_path, scenario):
     model = expected_rates(load_scenario(scenario).config)
     assert expected == {"p_det": model.p_det, "sifted_bps": model.sifted_bps,
                         "qber_da": model.qber_da, "qber_lr": model.qber_lr}
+
+
+def test_keyrate_and_offline_sift_leave_scipy_optimize_unloaded():
+    """The optimizers load only in the commands that fit or solve: a one-shot
+    keyrate or offline sift does not pay for importing them."""
+    code = (
+        "import sys\n"
+        "from fiberqkd.cli import main\n"
+        "from fiberqkd.protocol import sift\n"
+        "assert main(['keyrate', '--tally', 'tally-spool']) == 0\n"
+        "sift([(0, 'DA', 0), (1, 'LR', 1)], [(0, ('D',)), (1, ('R',))])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fiberqkd.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_exit_code_one_on_bad_flags(capsys):

@@ -160,12 +160,12 @@ def test_cw_fit_validation():
 
 
 def test_cw_fit_maps_optimizer_failure(monkeypatch):
-    import fiberqkd.emitter as em
+    import scipy.optimize
 
     def exploding(*args, **kwargs):
         raise RuntimeError("Optimal parameters not found")
 
-    monkeypatch.setattr(em, "curve_fit", exploding)
+    monkeypatch.setattr(scipy.optimize, "curve_fit", exploding)
     tau, counts, _ = make_cw_histogram()
     with pytest.raises(FitConvergenceError):
         fit_g2_cw(tau, counts)

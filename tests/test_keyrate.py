@@ -1,13 +1,21 @@
 """Secure-length arithmetic, bias optimization, planning helpers."""
 
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiberqkd.config import bundled_scenario_path
+from fiberqkd.cli import main as cli_main
+from fiberqkd.config import bundled_scenario_path, load_scenario, planning_inputs
 from fiberqkd.errors import ValidationError
 from fiberqkd.keyrate import (
+    _GRID_STEP,
+    _P_KEY_LOWER,
+    _P_KEY_UPPER,
     KeyTally,
     SecurityParams,
     asymptotic_key_fraction,
@@ -289,8 +297,8 @@ def test_rate_vs_loss_curve_ordering():
     grid = np.linspace(0.0, 15.0, 16)
     rows = rate_vs_loss_curve(
         rep_rate_hz=80e6,
-        p_det_of_loss=lambda l: 1e-3 * 10 ** (-l / 10.0) + 4e-7,
-        qber_of_loss=lambda l: 0.01 + 0.002 * l,
+        p_det=1e-3 * 10 ** (-grid / 10.0) + 4e-7,
+        qber=0.01 + 0.002 * grid,
         p_multi=1e-9,
         security=SECURITY,
         loss_grid_db=grid,
@@ -302,6 +310,158 @@ def test_rate_vs_loss_curve_ordering():
         assert row["finite_bps"] <= row["gllp_bps"] + 1e-9
     finite = [r["finite_bps"] for r in rows]
     assert all(a >= b for a, b in zip(finite, finite[1:]))
+
+
+# ------------------------------------------------ array-valued objectives
+
+BUNDLED = ("deployed-3p5km", "spool-32p5km")
+PLANNING_KEYS = ("p_det", "e_key", "e_check", "p_multi", "rep_rate_hz", "bob_key_share")
+# multi-photon emissions outweigh the check basis's detections above p_key ~ 0.85
+MULTIPHOTON_HEAVY = dict(p_det=3.4e-5, e_key=0.02, e_check=0.05, p_multi=5e-6,
+                         rep_rate_hz=80e6, bob_key_share=0.5)
+P_GRID = np.concatenate([np.linspace(_P_KEY_LOWER, _P_KEY_UPPER, 201),
+                         [0.999, 0.9999, 1.0 - 1e-7]])
+
+
+@functools.cache
+def bundled_planning(name):
+    scenario = load_scenario(name)
+    inputs = planning_inputs(scenario)
+    return {key: inputs[key] for key in PLANNING_KEYS}, scenario.security
+
+
+def scalar_planning_rate(inputs, p_key, duration_s, security):
+    """(rate, status) of one operating point through the scalar tally path."""
+    tally = expected_tally(inputs["p_det"], inputs["e_key"], inputs["e_check"], p_key,
+                           inputs["p_multi"], duration_s, inputs["rep_rate_hz"],
+                           inputs["bob_key_share"])
+    if tally is None:
+        return 0.0, "zero count"
+    result = secure_key_length(tally, security)
+    return result.rate_bps, result.status
+
+
+def test_finite_objective_on_a_grid_equals_scalar_secure_length():
+    """One array call gives bit for bit the rate of each point's own tally."""
+    cases = [bundled_planning(name) for name in BUNDLED] + [(MULTIPHOTON_HEAVY, SECURITY)]
+    statuses = set()
+    for inputs, security in cases:
+        for duration in (60.0, 600.0, 3600.0, 25200.0, 1e9):
+            rates = planning_rate_function(duration_s=duration, security=security,
+                                           **inputs)(P_GRID)
+            for p, rate in zip(P_GRID.tolist(), rates.tolist()):
+                expected, status = scalar_planning_rate(inputs, p, duration, security)
+                assert rate == expected, (inputs, duration, p)
+                statuses.add(status)
+    assert statuses == {"ok", "noise dominated", "multi-photon dominated", "zero count"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p_det=st.floats(1e-7, 1.0),
+    e_key=st.floats(0.0, 0.5),
+    e_check=st.floats(0.0, 0.5),
+    p_multi=st.floats(0.0, 1e-4),
+    duration=st.floats(1.0, 1e6),
+    rep_rate=st.floats(1e3, 1e9),
+    share=st.floats(0.05, 0.95),
+    p_keys=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=20),
+)
+def test_finite_objective_equals_scalar_secure_length_for_any_inputs(
+        p_det, e_key, e_check, p_multi, duration, rep_rate, share, p_keys):
+    inputs = dict(p_det=p_det, e_key=e_key, e_check=e_check, p_multi=p_multi,
+                  rep_rate_hz=rep_rate, bob_key_share=share)
+    rates = planning_rate_function(duration_s=duration, security=SECURITY,
+                                   **inputs)(np.array(p_keys))
+    for p, rate in zip(p_keys, rates.tolist()):
+        assert rate == scalar_planning_rate(inputs, p, duration, SECURITY)[0]
+
+
+def scalar_asymptotic_rate(inputs, p_key, f):
+    """The infinite-duration objective at one point, in scalar arithmetic."""
+    p_det, p_multi = inputs["p_det"], inputs["p_multi"]
+    a_key = multiphoton_correction(p_multi, p_det, p_key)
+    a_check = multiphoton_correction(p_multi, p_det, 1.0 - p_key)
+    if a_key <= 0.0 or a_check <= 0.0:
+        return 0.0
+    q = min(inputs["e_check"] / a_check, 0.5)
+    fraction = a_key * (1.0 - binary_entropy(q)) - f * binary_entropy(inputs["e_key"])
+    share = inputs["rep_rate_hz"] * p_det * p_key * inputs["bob_key_share"]
+    return max(0.0, share * fraction)
+
+
+def test_asymptotic_objective_on_a_grid_equals_scalar_arithmetic():
+    cases = [bundled_planning(name) for name in BUNDLED] + [(MULTIPHOTON_HEAVY, SECURITY)]
+    for inputs, security in cases:
+        rates = planning_rate_function(duration_s=math.inf, security=security,
+                                       **inputs)(P_GRID)
+        for p, rate in zip(P_GRID.tolist(), rates.tolist()):
+            assert rate == scalar_asymptotic_rate(inputs, p, security.f), (inputs, p)
+    assert 0.0 in rates.tolist() and max(rates.tolist()) > 0.0  # both branches ran
+
+
+@pytest.mark.parametrize("duration, flagged", [("60", False), ("1433.734296453897", True)])
+def test_optimize_audit_trail_order(tmp_path, duration, flagged):
+    """Golden-section steps, then the coarse grid, then the fine grid when
+    the coarse grid flags the objective, every rate equal to a scalar call."""
+    out = tmp_path / "opt.json"
+    assert cli_main(["optimize", "--scenario", "deployed-3p5km", "--duration", duration,
+                     "--audit", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["unimodality_violation"] is flagged
+    coarse = np.linspace(_P_KEY_LOWER, _P_KEY_UPPER, 201).tolist()
+    fine = np.arange(_P_KEY_LOWER, _P_KEY_UPPER + 0.5 * _GRID_STEP, _GRID_STEP)
+    grids = coarse + (np.minimum(fine, _P_KEY_UPPER).tolist() if flagged else [])
+    evals = doc["evaluations"]
+    n_golden = len(evals) - len(grids)
+    assert n_golden == 25
+    assert [p for p, _ in evals[n_golden:]] == grids
+    inputs, security = bundled_planning("deployed-3p5km")
+    rate_fn = planning_rate_function(duration_s=float(duration), security=security, **inputs)
+    assert [r for _, r in evals] == [rate_fn(p) for p, _ in evals]
+
+
+def test_rate_vs_loss_curve_rows_equal_per_point_scalar_computation():
+    grid = np.linspace(0.0, 60.0, 61)
+    p_det = 1e-3 * 10 ** (-grid / 10.0) + 4e-9
+    qber = 0.01 + 0.003 * grid
+    rows = rate_vs_loss_curve(80e6, p_det, qber, 1e-9, SECURITY, grid, 10.0,
+                              p_key=0.9, bob_key_share=0.5)
+    finite_statuses = set()
+    for row, loss, pd, e in zip(rows, grid.tolist(), p_det.tolist(), qber.tolist()):
+        tally = expected_tally(pd, e, e, 0.9, 1e-9, 10.0, 80e6, 0.5)
+        finite = 0.0 if tally is None else secure_key_length(tally, SECURITY).rate_bps
+        finite_statuses.add("zero count" if tally is None else finite > 0.0)
+        gllp = gllp_asymptotic_rate(80e6, pd, e, 1e-9, 1.16, sift_factor=0.9 * 0.5)
+        assert row == {"loss_db": loss, "finite_bps": finite, "gllp_bps": gllp}
+        assert type(row["finite_bps"]) is float and type(row["gllp_bps"]) is float
+    assert finite_statuses == {True, False, "zero count"}
+
+
+def test_scalar_inputs_give_python_floats():
+    kwargs = dict(p_det=3.374e-5, e_key=0.017, e_check=0.083, p_multi=1.63e-9,
+                  rep_rate_hz=80e6, security=SECURITY)
+    for duration in (600.0, math.inf):
+        fn = planning_rate_function(duration_s=duration, **kwargs)
+        assert type(fn(0.9)) is float
+        assert fn(np.array([0.9])).shape == (1,)
+    assert type(gllp_asymptotic_rate(1e6, 1e-4, 0.03, 1e-9, 1.16)) is float
+    assert type(asymptotic_key_fraction(0.03, 0.03, 1e-4, 1e-9, 1.16)) is float
+    assert type(fluctuation_delta(1_000_000, 10_000, 1e-12)) is float
+    assert type(multiphoton_correction(1e-9, 1e-4, 0.5)) is float
+    assert type(leakage_ec(1_000_000, 0.017, 1.16)) is float
+
+
+def test_planning_rate_function_rejects_invalid_inputs():
+    kwargs = dict(p_det=3.374e-5, e_key=0.017, e_check=0.083, p_multi=1.63e-9,
+                  duration_s=600.0, rep_rate_hz=80e6, security=SECURITY)
+    for key, value in (("p_det", 0.0), ("p_det", math.nan), ("e_key", 1.5),
+                       ("e_check", -0.1), ("p_multi", -1e-9)):
+        with pytest.raises(ValidationError):
+            planning_rate_function(**{**kwargs, key: value})
+    for duration in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError):
+            planning_rate_function(**{**kwargs, "duration_s": duration})(0.9)
 
 
 # ----------------------------------------------------------- serialization
