@@ -375,6 +375,26 @@ def _sift_result(counts: np.ndarray, n_pulses: int, key_basis: str) -> SiftResul
     )
 
 
+def _record_kind(
+    slot: int, basis: str, bit: int, detections: Sequence[str]
+) -> tuple[int, int, int]:
+    """Basis index, bit and detector bit mask of one record; raises if malformed."""
+    basis_idx = _BASIS_INDEX.get(basis)
+    if basis_idx is None:
+        raise ValidationError(f"unknown basis label {basis!r}")
+    if bit not in (0, 1):
+        raise ValidationError(f"slot {slot}: bit must be 0 or 1, got {bit!r}")
+    mask = 0
+    for det in detections:
+        flag = _DETECTOR_FLAG.get(det, 0)
+        if not flag or flag & mask:
+            raise ValidationError(
+                f"slot {slot}: unknown or repeated detector label in {detections!r}"
+            )
+        mask |= flag
+    return basis_idx, bit, mask
+
+
 def sift(
     alice_records: Iterable[tuple[int, str, int]],
     bob_records: Iterable[tuple[int, Sequence[str]]],
@@ -399,32 +419,31 @@ def sift(
         raise ValidationError("transmitter and receiver record counts differ")
     if n_pulses is not None and n_pulses < len(alice):
         raise ValidationError("n_pulses cannot undercount the supplied records")
-    bases: list[int] = []
-    bits: list[int] = []
-    masks: list[int] = []
+    # Records repeat a few dozen (basis, bit, detections) kinds: each kind is
+    # checked when first met, so the first malformed record raises, and every
+    # record becomes the index of its kind.
+    kinds: dict[tuple, int] = {}
+    rows: list[tuple[int, int, int]] = []
+    codes: list[int] = []
     for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
         if slot_a != slot_b:
             raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
-        basis_idx = _BASIS_INDEX.get(basis)
-        if basis_idx is None:
-            raise ValidationError(f"unknown basis label {basis!r}")
-        if bit not in (0, 1):
-            raise ValidationError(f"slot {slot_a}: bit must be 0 or 1, got {bit!r}")
-        mask = 0
-        for det in detections:
-            flag = _DETECTOR_FLAG.get(det, 0)
-            if not flag or flag & mask:
-                raise ValidationError(
-                    f"slot {slot_a}: unknown or repeated detector label in {detections!r}"
-                )
-            mask |= flag
-        if mask:
-            bases.append(basis_idx)
-            bits.append(bit)
-            masks.append(mask)
-    alice_basis = np.array(bases, dtype=np.int64)
-    clicks = (np.array(masks, dtype=np.int64)[:, None] & _FLAGS) != 0
-    outcomes = classify(alice_basis, np.array(bits, dtype=np.int64), clicks, policy, rng)
+        key = (basis, bit, detections)
+        try:
+            code = kinds.get(key)
+        except TypeError:  # an unhashable field, such as a list of labels
+            code = key = None
+        if code is None:
+            code = len(rows)
+            rows.append(_record_kind(slot_a, basis, bit, detections))
+            if key is not None:
+                kinds[key] = code
+        codes.append(code)
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)[np.array(codes, dtype=np.intp)]
+    table = table[table[:, 2] != 0]
+    alice_basis = table[:, 0]
+    clicks = (table[:, 2:] & _FLAGS) != 0
+    outcomes = classify(alice_basis, table[:, 1], clicks, policy, rng)
     counts = _tally(alice_basis, outcomes)
     return _sift_result(counts, len(alice) if n_pulses is None else n_pulses, key_basis)
 

@@ -210,6 +210,76 @@ def test_sift_validation():
             sift(alice, bob)
 
 
+
+def reference_sift_counts(alice, bob, policy, rng):
+    """The sifting loop written out one record at a time, as outcome counts."""
+    flag = {det: 1 << i for i, det in enumerate(DETECTOR_ORDER)}
+    rows = []
+    for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
+        if slot_a != slot_b:
+            raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
+        if basis not in ("DA", "LR"):
+            raise ValidationError(f"unknown basis label {basis!r}")
+        if bit not in (0, 1):
+            raise ValidationError(f"slot {slot_a}: bit must be 0 or 1, got {bit!r}")
+        mask = 0
+        for det in detections:
+            if not flag.get(det, 0) or flag[det] & mask:
+                raise ValidationError(
+                    f"slot {slot_a}: unknown or repeated detector label in {detections!r}"
+                )
+            mask |= flag[det]
+        if mask:
+            rows.append((0 if basis == "DA" else 1, bit, mask))
+    basis, bits, masks = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    clicks = (masks[:, None] & [1, 2, 4, 8]) != 0
+    outcomes = classify(basis, bits, clicks, policy, rng)
+    return np.bincount(2 * outcomes + basis, minlength=10).reshape(5, 2)
+
+
+def random_records(rng, n):
+    labels = [(), *CLICK_SETS]
+    alice = [(slot, ("DA", "LR")[rng.integers(2)], int(rng.integers(2))) for slot in range(n)]
+    bob = [(slot, labels[rng.integers(len(labels))]) for slot in range(n)]
+    return alice, bob
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+def test_sift_matches_record_by_record_loop(policy):
+    alice, bob = random_records(np.random.default_rng(5), 3000)
+    res = sift(alice, bob, policy=policy, rng=np.random.default_rng(8))
+    c = reference_sift_counts(alice, bob, policy, np.random.default_rng(8))
+    assert (res.kept_da, res.errors_da) == (c[KEPT, 0] + c[ERROR, 0], c[ERROR, 0])
+    assert (res.kept_lr, res.errors_lr) == (c[KEPT, 1] + c[ERROR, 1], c[ERROR, 1])
+    assert res.n_basis_mismatch == c[MISMATCH].sum()
+    assert res.n_double_discarded == c[DOUBLE].sum()
+    assert res.n_cross_discarded == c[CROSS].sum()
+    assert res.n_detections == c.sum()
+    # labels given as lists are unhashable and take the same rules
+    listed = [(slot, list(labels)) for slot, labels in bob]
+    assert sift(alice, listed, policy=policy, rng=np.random.default_rng(8)) == res
+
+
+def test_sift_raises_the_fault_of_the_first_bad_record():
+    alice, bob = random_records(np.random.default_rng(6), 40)
+    faults = [
+        (lambda a, b, i: a.__setitem__(i, (a[i][0] + 100, *a[i][1:]))),  # slot mismatch
+        (lambda a, b, i: a.__setitem__(i, (a[i][0], "HV", a[i][2]))),  # unknown basis
+        (lambda a, b, i: a.__setitem__(i, (a[i][0], a[i][1], 2))),  # bit outside {0, 1}
+        (lambda a, b, i: b.__setitem__(i, (b[i][0], ("D", "X")))),  # unknown label
+        (lambda a, b, i: b.__setitem__(i, (b[i][0], ["L", "L"]))),  # repeated, as a list
+    ]
+    for (first, fault_a), (second, fault_b) in product(enumerate(faults), repeat=2):
+        for i, j in ((7, 21), (21, 7), (13, 13)):
+            a, b = list(alice), list(bob)
+            fault_a(a, b, i)
+            fault_b(a, b, j)
+            with pytest.raises(ValidationError) as want:
+                reference_sift_counts(a, b, "discard", None)
+            with pytest.raises(ValidationError) as got:
+                sift(a, b)
+            assert str(got.value) == str(want.value), (first, second, i, j)
+
 # Largest sets first, so a stray draw on a 3- or 4-click slot shifts the bits
 # drawn for the same-basis doubles after it.
 CLICK_SETS = [c for k in (4, 3, 2, 1) for c in combinations(DETECTOR_ORDER, k)]
