@@ -14,6 +14,7 @@ Wavelengths are in nm, delay in ps, so detunings come out in rad/ps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -21,11 +22,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .polarization import (
+    _rodrigues,
+    cross,
     normalize,
     perpendicular_unit,
     random_unit,
     require_unit,
-    rotate,
     rotate_rows,
     rotation_taking,
     stokes_of,
@@ -172,8 +174,9 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     a synthesized channel's principal states onto a chosen encoder basis.
 
     All axes turn at once in the operation order of :func:`rotate`. The dot
-    products and norms are taken row by row, because a matrix-vector product
-    sums in another order and moves the last bits of some axes.
+    products and norms are numpy dots taken row by row, because a
+    matrix-vector product sums in another order and moves the last bits of
+    some axes.
     """
     goal = stokes_of(target) if isinstance(target, str) else require_unit(target, "target")
     pmd = first_order_pmd(channel)
@@ -183,8 +186,8 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     axes = np.array([seg.axis for seg in channel.segments])
     c = np.cos(angle)
     dots = np.array([axis @ p for p in axes])
-    turned = axes * c + np.cross(axis, axes) * np.sin(angle) + axis * dots[:, None] * (1.0 - c)
-    norms = np.array([np.linalg.norm(p) for p in turned])
+    turned = axes * c + cross(axis, axes) * np.sin(angle) + axis * dots[:, None] * (1.0 - c)
+    norms = np.array([math.sqrt(p.dot(p)) for p in turned])
     turned /= norms[:, None]
     rotated = tuple(
         replace(seg, axis=tuple(p)) for seg, p in zip(channel.segments, turned)
@@ -243,12 +246,13 @@ class ArcFit:
 
 
 def _polar_angles(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(points @ axis, -1.0, 1.0))
+    # The clip method is what np.clip calls, without its dispatch layer.
+    return np.arccos((points @ axis).clip(-1.0, 1.0))
 
 
 def _azimuths(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
     u = perpendicular_unit(axis)
-    v = np.cross(axis, u)
+    v = cross(axis, u)
     return np.unwrap(np.arctan2(points @ v, points @ u))
 
 
@@ -266,6 +270,8 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
         raise ValidationError("an arc fit needs at least three points")
     pts = np.array([p.stokes for p in points], dtype=float)
     lams = np.array([p.wavelength_nm for p in points], dtype=float)
+    if not (np.isfinite(pts).all() and np.isfinite(lams).all()):
+        raise ValidationError("trajectory points must be finite")
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValidationError("trajectory points must be unit Stokes vectors")
@@ -287,19 +293,19 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
 
     centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    seed_axis = normalize(vt[-1])
-
-    e1 = perpendicular_unit(seed_axis)
-    e2 = np.cross(seed_axis, e1)
+    # The tilt frame is checked once here; each residual evaluation then
+    # rotates without checking again.
+    seed_axis = require_unit(normalize(vt[-1]), "seed axis")
+    e1 = require_unit(perpendicular_unit(seed_axis), "tilt axis")
+    e2 = require_unit(cross(seed_axis, e1), "tilt axis")
 
     def axis_of(params):
         tilt1, tilt2 = params
-        n = rotate(seed_axis, e1, tilt1)
-        return rotate(n, e2, tilt2)
+        return _rodrigues(_rodrigues(seed_axis, e1, tilt1), e2, tilt2)
 
     def residual(params):
         beta = _polar_angles(pts, axis_of(params))
-        return beta - beta.mean()
+        return beta - np.add.reduce(beta) / beta.size  # beta.mean(), minus its dispatch
 
     sol = least_squares(residual, x0=[0.0, 0.0], method="lm")
     axis = axis_of(sol.x)
@@ -398,6 +404,8 @@ def read_trajectory_csv(path) -> list[TrajectoryPoint]:
                 lam, s1, s2, s3 = (float(x) for x in row)
             except ValueError as exc:
                 raise ValidationError(f"non-numeric trajectory row: {row!r}") from exc
+            if not all(map(math.isfinite, (lam, s1, s2, s3))):
+                raise ValidationError(f"non-finite trajectory row: {row!r}")
             points.append(TrajectoryPoint(wavelength_nm=lam, stokes=(s1, s2, s3)))
     if not points:
         raise ValidationError("trajectory CSV contains no data rows")

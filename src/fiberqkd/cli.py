@@ -105,10 +105,13 @@ def _read_histogram(path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) != 2:
                 raise ValidationError(f"malformed histogram row: {row!r}")
             try:
-                taus.append(float(row[0]))
-                counts.append(float(row[1]))
+                tau, count = float(row[0]), float(row[1])
             except ValueError as exc:
                 raise ValidationError(f"non-numeric histogram row: {row!r}") from exc
+            if not (math.isfinite(tau) and math.isfinite(count)):
+                raise ValidationError(f"non-finite histogram row: {row!r}")
+            taus.append(tau)
+            counts.append(count)
     if not taus:
         raise ValidationError("histogram CSV contains no data rows")
     return np.array(taus), np.array(counts)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import FitConvergenceError, ValidationError
 
@@ -63,6 +62,8 @@ class EmitterSpectrum:
         if self.shape == "rectangular":
             out = np.where(inside, 1.0 / self.fwhm_nm, 0.0)
         elif self.shape == "gaussian":
+            from scipy.special import erf  # imported on use: slow to load
+
             sigma = self.fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
             half = hi - self.center_nm
             mass = float(erf(half / (sigma * np.sqrt(2.0))))

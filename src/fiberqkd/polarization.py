@@ -77,11 +77,53 @@ def require_unit(vec, what: str = "vector") -> np.ndarray:
 
 
 def normalize(vec) -> np.ndarray:
+    """``vec`` divided by its Euclidean norm.
+
+    The norm is ``sqrt(v . v)`` with numpy's dot, the same bits as
+    ``np.linalg.norm`` of a 1-d array without its dispatch.
+    """
     arr = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(arr))
+    norm = math.sqrt(arr.dot(arr))
     if norm == 0.0:
         raise ValidationError("cannot normalize a zero vector")
     return arr / norm
+
+
+def _cross(a, b):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product ``a x b`` of a 3-vector ``a`` and a 3-vector or (n, 3) rows ``b``.
+
+    Written out per component, on Python floats for a single vector and on
+    columns for rows, which gives ``np.cross``'s bits without its generic axis
+    handling.
+    """
+    b = np.asarray(b, dtype=float)
+    cols = b.T if b.ndim == 2 else b.tolist()
+    return np.array(_cross(np.asarray(a, dtype=float).tolist(), cols)).T
+
+
+def _rodrigues(s: np.ndarray, a: np.ndarray, angle) -> np.ndarray:
+    """Rotation of a checked unit vector ``s`` about a checked unit ``a``.
+
+    The arithmetic of ``s c + (a x s) sin + a (a . s)(1 - c)`` runs on Python
+    floats in that operation order. The dot product and the norm stay numpy
+    dots (the BLAS ``ddot`` that ``a @ s`` and ``np.linalg.norm`` also call),
+    whose rounding a scalar sum would not reproduce.
+    """
+    c = float(np.cos(angle))
+    sin = float(np.sin(angle))
+    w = 1.0 - c
+    d = float(a.dot(s))
+    sv, av = s.tolist(), a.tolist()
+    out = np.array([
+        si * c + xi * sin + ai * d * w for si, xi, ai in zip(sv, _cross(av, sv), av)
+    ])
+    return out / math.sqrt(out.dot(out))
 
 
 def rotate(state, axis, angle: float) -> np.ndarray:
@@ -90,11 +132,7 @@ def rotate(state, axis, angle: float) -> np.ndarray:
     Rodrigues form, renormalized afterwards so that long rotation chains do
     not drift off the sphere.
     """
-    s = require_unit(state, "state")
-    a = require_unit(axis, "axis")
-    c = np.cos(angle)
-    out = s * c + np.cross(a, s) * np.sin(angle) + a * (a @ s) * (1.0 - c)
-    return normalize(out)
+    return _rodrigues(require_unit(state, "state"), require_unit(axis, "axis"), angle)
 
 
 def rotate_rows(points: np.ndarray, axis: np.ndarray, c, s) -> np.ndarray:
@@ -106,8 +144,8 @@ def rotate_rows(points: np.ndarray, axis: np.ndarray, c, s) -> np.ndarray:
     about several axes evaluate the trig once. No renormalization; callers
     that chain many segments should renormalize once at the end.
 
-    The cross product ``a x p`` is written out per component, which skips
-    ``np.cross``'s axis handling and gives the same bits.
+    The cross product ``a x p`` is written out per column, the arithmetic of
+    :func:`cross` applied to every row at once.
     """
     a = require_unit(axis, "axis")
     k = (points @ a) * (1.0 - c)
@@ -124,7 +162,7 @@ def perpendicular_unit(vec) -> np.ndarray:
     """Some unit vector perpendicular to ``vec``."""
     v = require_unit(vec, "vector")
     trial = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    return normalize(np.cross(v, trial))
+    return normalize(cross(v, trial))
 
 
 def rotation_taking(src, dst) -> tuple[np.ndarray, float]:
@@ -136,13 +174,13 @@ def rotation_taking(src, dst) -> tuple[np.ndarray, float]:
     u = require_unit(src, "src")
     v = require_unit(dst, "dst")
     c = float(np.clip(u @ v, -1.0, 1.0))
-    cross = np.cross(u, v)
-    sin_norm = float(np.linalg.norm(cross))
+    axis = cross(u, v)
+    sin_norm = math.sqrt(axis.dot(axis))
     if sin_norm < 1e-12:
         if c > 0.0:
             return perpendicular_unit(u), 0.0
         return perpendicular_unit(u), float(np.pi)
-    return cross / sin_norm, float(np.arctan2(sin_norm, c))
+    return axis / sin_norm, float(np.arctan2(sin_norm, c))
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Fiber model: detuning, concatenated birefringence, arc fitting, DGD recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberqkd.channel
 from fiberqkd.channel import (
     _BLOCK_ROWS,
     SPEED_OF_LIGHT_NM_PER_PS,
@@ -35,6 +38,7 @@ from fiberqkd.polarization import (
     rotation_taking,
     stokes_of,
 )
+from test_polarization import _perpendicular_unit_cross, _rotate_cross
 
 
 def single_segment(dgd_ps=0.117, axis=(1.0, 0.0, 0.0), reference_nm=1310.0):
@@ -290,6 +294,41 @@ def test_arc_fit_degenerate_cases():
         fit_arc(sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 8)[:2])
 
 
+def _random_sweeps(n_channels):
+    rng = np.random.default_rng(31)
+    for seed in range(n_channels):
+        ch = synthesize_channel(rng.uniform(0.02, 1.0), 3.5, int(rng.integers(1, 25)), seed)
+        yield sweep_trajectory(ch, random_unit(rng), 1306.0, 1313.0, int(rng.integers(3, 200)))
+    ch = single_segment()
+    yield sweep_trajectory(ch, stokes_of("H"), 1306.5, 1313.5, 16)  # on the axis
+    yield sweep_trajectory(ch, np.array([1.0, 1e-7, 0.0]) / np.hypot(1.0, 1e-7),
+                           1306.5, 1313.5, 16)  # a circle of radius 1e-7
+
+
+def test_arc_fit_equals_fit_on_np_cross_rotations(monkeypatch):
+    """The scalar rotations give the fit of the np.cross forms to the last bit."""
+    sweeps = list(_random_sweeps(24))
+    fits = [fit_arc(points) for points in sweeps]
+    assert [fit.degenerate for fit in fits[-2:]] == [True, True]
+    monkeypatch.setattr(fiberqkd.channel, "_rodrigues", _rotate_cross)
+    monkeypatch.setattr(fiberqkd.channel, "cross", np.cross)
+    monkeypatch.setattr(fiberqkd.channel, "perpendicular_unit", _perpendicular_unit_cross)
+    assert [fit_arc(points) for points in sweeps] == fits
+
+
+@pytest.mark.parametrize("bad", [
+    {"stokes": (np.nan, 0.0, 1.0)},
+    {"stokes": (0.0, np.inf, 0.0)},
+    {"wavelength_nm": np.nan},
+    {"wavelength_nm": np.inf},
+], ids=["stokes-nan", "stokes-inf", "wavelength-nan", "wavelength-inf"])
+def test_arc_fit_rejects_non_finite_points(bad):
+    points = sweep_trajectory(single_segment(), stokes_of("D"), 1306.5, 1313.5, 16)
+    points[5] = replace(points[5], **bad)
+    with pytest.raises(ValidationError):
+        fit_arc(points)
+
+
 def test_rotation_angle_and_estimate_are_inverses():
     for dgd in (0.01, 0.117, 0.5, 2.0):
         ang = dgd * abs(delta_omega(1313.5, 1306.5))
@@ -375,3 +414,14 @@ def test_trajectory_csv_round_trip(tmp_path):
     channel = load_scenario("deployed-3p5km").config.channel
     swept = sweep_trajectory(channel, stokes_of("L"), 1306.5, 1313.5, 12)
     assert read_trajectory_csv(path) == swept
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 2])
+def test_trajectory_csv_rejects_non_finite_fields(tmp_path, column, value):
+    path = tmp_path / "traj.csv"
+    row = ["1310.0", "0.0", "1.0", "0.0"]
+    row[column] = value
+    path.write_text("wavelength_nm,s1,s2,s3\n1309.0,0.0,1.0,0.0\n" + ",".join(row) + "\n")
+    with pytest.raises(ValidationError, match="non-finite trajectory row"):
+        read_trajectory_csv(path)

@@ -362,6 +362,49 @@ def test_exit_code_one_on_bad_tally_fields(tmp_path, capsys, key, value):
     assert "error:" in capsys.readouterr().err
 
 
+def _set_csv_cell(path, row, column, value):
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row][column] = value
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+@pytest.mark.parametrize("column, value", [
+    (1, "nan"),
+    (3, "-inf"),
+    (0, "nan"),
+    (0, "inf"),
+], ids=["stokes-nan", "stokes-inf", "wavelength-nan", "wavelength-inf"])
+@pytest.mark.parametrize("command", ["fit", "estimate"])
+def test_exit_code_one_on_non_finite_trajectory(tmp_path, capsys, command, column, value):
+    """A NaN or infinite field is an input error, not an SVD failure or a null delay."""
+    traj = tmp_path / "traj.csv"
+    assert run_cli("pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
+                   "--points", "32", "--out", str(traj)) == 0
+    _set_csv_cell(traj, 6, column, value)
+    assert run_cli("pmd", command, "--trajectory", str(traj)) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, "nan"),
+    (1, "nan"),
+    (1, "inf"),
+], ids=["tau-nan", "counts-nan", "counts-inf"])
+@pytest.mark.parametrize("command, write, extra", [
+    ("fit-cw", write_cw_histogram, []),
+    ("pulsed", write_pulsed_histogram, ["--period-ns", "12.5"]),
+], ids=["fit-cw", "pulsed"])
+def test_exit_code_one_on_non_finite_histogram(tmp_path, capsys, command, write, extra,
+                                               column, value):
+    hist = tmp_path / "hist.csv"
+    write(hist)
+    _set_csv_cell(hist, 20, column, value)  # a row of the pulsed histogram's centre peak
+    assert run_cli("g2", command, "--histogram", str(hist), *extra) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.fixture
 def quadrature_calls(monkeypatch):
     """Count qber_from_pmd calls through every fiberqkd namespace that holds it."""
@@ -439,6 +482,24 @@ def test_keyrate_and_offline_sift_leave_scipy_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_import_and_keyrate_leave_scipy_unloaded():
+    """scipy loads only where a command evaluates it: importing the command
+    line and a one-shot keyrate pay for none of it."""
+    code = (
+        "import sys\n"
+        "from fiberqkd.cli import main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert main(['keyrate', '--tally', 'tally-spool']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fiberqkd.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
 
 
 def test_exit_code_one_on_bad_flags(capsys):

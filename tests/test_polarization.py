@@ -12,6 +12,8 @@ from fiberqkd.polarization import (
     MODULATOR_PHASE,
     PROTOCOL_STATES,
     Bb84State,
+    cross,
+    normalize,
     perpendicular_unit,
     phase_to_state,
     random_unit,
@@ -222,6 +224,107 @@ def test_perpendicular_unit():
         p = perpendicular_unit(v)
         assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.dot(p, v)) < 1e-12
+
+
+def _rotate_cross(state, axis, angle):
+    """rotate as it was written on np.cross; the oracle for the scalar form."""
+    s = require_unit(state, "state")
+    a = require_unit(axis, "axis")
+    c = np.cos(angle)
+    out = s * c + np.cross(a, s) * np.sin(angle) + a * (a @ s) * (1.0 - c)
+    return out / np.linalg.norm(out)
+
+
+def _perpendicular_unit_cross(vec):
+    """perpendicular_unit as it was written on np.cross."""
+    v = require_unit(vec, "vector")
+    trial = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    out = np.cross(v, trial)
+    return out / np.linalg.norm(out)
+
+
+def _rotation_taking_cross(src, dst):
+    """rotation_taking as it was written on np.cross."""
+    u = require_unit(src, "src")
+    v = require_unit(dst, "dst")
+    c = float(np.clip(u @ v, -1.0, 1.0))
+    axis = np.cross(u, v)
+    sin_norm = float(np.linalg.norm(axis))
+    if sin_norm < 1e-12:
+        return _perpendicular_unit_cross(u), 0.0 if c > 0.0 else float(np.pi)
+    return axis / sin_norm, float(np.arctan2(sin_norm, c))
+
+
+_units = st.tuples(_unit_floats, _unit_floats, _unit_floats).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+# Pairs of unit vectors: independent, equal, or antipodal.
+_pairs = st.tuples(_units, _units, st.sampled_from(["free", "parallel", "antiparallel"])).map(
+    lambda t: (t[0], {"free": t[1], "parallel": t[0].copy(), "antiparallel": -t[0]}[t[2]])
+)
+
+_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.5 * np.pi, 7.0, -1e3]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pairs, angle=_angles)
+def test_rotate_equals_cross_product_oracle(pair, angle):
+    state, axis = pair
+    assert np.array_equal(rotate(state, axis, angle), _rotate_cross(state, axis, angle))
+    assert np.array_equal(rotate(axis, state, angle), _rotate_cross(axis, state, angle))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pairs)
+def test_cross_products_equal_the_np_cross_forms(pair):
+    u, v = pair
+    assert np.array_equal(cross(u, v), np.cross(u, v))
+    assert np.array_equal(perpendicular_unit(u), _perpendicular_unit_cross(u))
+    axis, angle = rotation_taking(u, v)
+    oracle_axis, oracle_angle = _rotation_taking_cross(u, v)
+    assert np.array_equal(axis, oracle_axis)
+    assert angle == oracle_angle
+
+
+def test_cross_of_rows_equals_np_cross():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(500, 3))
+    a = random_unit(rng)
+    assert np.array_equal(cross(a, rows), np.cross(a, rows))
+    assert np.array_equal(cross(a, rows[:0]), np.empty((0, 3)))
+
+
+def test_normalize_equals_linalg_norm_division():
+    rng = np.random.default_rng(6)
+    for v in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-5, 5, size=(200, 1)):
+        assert np.array_equal(normalize(v), v / np.linalg.norm(v))
+    with pytest.raises(ValidationError, match="cannot normalize a zero vector"):
+        normalize([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rotate([0.0, 0.0, 2.0], [1.0, 0.0, 0.0], 0.1),
+     "state must be unit length, got |v| = 2"),
+    (lambda: rotate([0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], 0.1),
+     "axis must be unit length, got |v| = nan"),
+    (lambda: rotate([0.0, 0.0, 1.0], [1.0, 1.0, 0.0], 0.1),
+     "axis must be unit length, got |v| = 1.41421356237"),
+    (lambda: perpendicular_unit([np.nan, 0.0, 0.0]),
+     "vector must be unit length, got |v| = nan"),
+    (lambda: rotation_taking([1.0, 0.0, 0.0], [0.0, 2.0, 0.0]),
+     "dst must be unit length, got |v| = 2"),
+    (lambda: rotation_taking([np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]),
+     "src must be unit length, got |v| = nan"),
+], ids=["rotate-state", "rotate-nan-axis", "rotate-axis", "perpendicular-nan",
+        "taking-dst", "taking-nan-src"])
+def test_rotation_error_messages(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_random_unit_is_roughly_isotropic():
