@@ -256,6 +256,65 @@ def _azimuths(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.unwrap(np.arctan2(points @ v, points @ u))
 
 
+# Cap on the Gauss-Newton steps of an arc fit, MINPACK's default evaluation
+# budget for two parameters. An arc converges in a handful of steps; a
+# jittered short arc, whose objective is a long flat valley, may need hundreds.
+_ARC_FIT_STEPS = 300
+
+
+def _refine_axis(pts: np.ndarray, seed_axis: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    """Axis that minimizes the spread of the points' polar angles.
+
+    The axis is the seed tilted by ``t1`` about ``e1`` and then by ``t2``
+    about ``e2``. Damped Gauss-Newton on the 2x2 normal equations refines
+    (t1, t2) from zero, with the analytic Jacobian of the polar angles
+    ``beta = arccos(p . axis)``: d axis/dt1 = R(e2, t2)(e1 x a1), where a1 is
+    the seed after the first tilt, and d axis/dt2 = e2 x axis. The damping
+    follows the ratio of actual to predicted decrease (Nielsen's rule). Only
+    steps that lower the objective are taken, so the result is the
+    lowest-objective iterate. The loop ends when a step falls below 1e-12 rad.
+    """
+
+    def evaluate(t1, t2):
+        a1 = _rodrigues(seed_axis, e1, t1)
+        axis = _rodrigues(a1, e2, t2)
+        x = (pts @ axis).clip(-1.0, 1.0)
+        beta = np.arccos(x)
+        r = beta - np.add.reduce(beta) / beta.size  # beta.mean(), minus its dispatch
+        d = np.array([_rodrigues(cross(e1, a1), e2, t2), cross(e2, axis)]).T
+        # d beta/dt = -(p . d axis/dt) / sin(beta); the floor keeps a point on
+        # the axis finite, and a step it spoils is refused like any other.
+        jac = (pts @ d) / -np.sqrt(np.maximum(1.0 - x * x, 1e-300))[:, None]
+        jac -= np.add.reduce(jac) / beta.size
+        return axis, float(r @ r), (jac.T @ r).tolist(), (jac.T @ jac).tolist()
+
+    t1 = t2 = 0.0
+    axis, cost, (g1, g2), ((h11, h12), (_, h22)) = evaluate(t1, t2)
+    damping, growth = 1e-3 * max(h11, h22), 2.0
+    for _ in range(_ARC_FIT_STEPS):
+        det = (h11 + damping) * (h22 + damping) - h12 * h12
+        if not det > 0.0:
+            damping, growth = max(growth * damping, 1e-300), 2.0 * growth
+            continue
+        step1 = (h12 * g2 - (h22 + damping) * g1) / det
+        step2 = (h12 * g1 - (h11 + damping) * g2) / det
+        trial = evaluate(t1 + step1, t2 + step2)
+        # The linear model's decrease of |r|^2 for this step.
+        predicted = -(2.0 * (g1 * step1 + g2 * step2) + h11 * step1 * step1
+                      + 2.0 * h12 * step1 * step2 + h22 * step2 * step2)
+        if trial[1] < cost:
+            gain = (cost - trial[1]) / predicted if predicted > 0.0 else 1.0
+            t1, t2 = t1 + step1, t2 + step2
+            axis, cost, (g1, g2), ((h11, h12), (_, h22)) = trial
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping, growth = growth * damping, 2.0 * growth
+        if max(abs(step1), abs(step2)) < 1e-12:
+            break
+    return axis
+
+
 def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
     """Fit a circle on the sphere to a swept trajectory.
 
@@ -264,8 +323,6 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
     ordered along the sweep with adjacent azimuth steps below half a turn,
     otherwise the unwrapped rotation angle is ambiguous.
     """
-    from scipy.optimize import least_squares  # imported on use: slow to load
-
     if len(points) < 3:
         raise ValidationError("an arc fit needs at least three points")
     pts = np.array([p.stokes for p in points], dtype=float)
@@ -293,22 +350,12 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
 
     centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    # The tilt frame is checked once here; each residual evaluation then
-    # rotates without checking again.
+    # The tilt frame is checked once here; each step then rotates without
+    # checking again.
     seed_axis = require_unit(normalize(vt[-1]), "seed axis")
     e1 = require_unit(perpendicular_unit(seed_axis), "tilt axis")
     e2 = require_unit(cross(seed_axis, e1), "tilt axis")
-
-    def axis_of(params):
-        tilt1, tilt2 = params
-        return _rodrigues(_rodrigues(seed_axis, e1, tilt1), e2, tilt2)
-
-    def residual(params):
-        beta = _polar_angles(pts, axis_of(params))
-        return beta - np.add.reduce(beta) / beta.size  # beta.mean(), minus its dispatch
-
-    sol = least_squares(residual, x0=[0.0, 0.0], method="lm")
-    axis = axis_of(sol.x)
+    axis = _refine_axis(pts, seed_axis, e1, e2)
 
     # Orient the axis so azimuth grows with optical frequency. Frequency
     # detuning decreases with wavelength, so the handedness test flips the
@@ -341,6 +388,8 @@ def estimate_dgd(central_angle_rad: float, span_nm: float, center_nm: float) -> 
     The arc length equals dgd times the detuning range covered, evaluated
     exactly from the sweep's end wavelengths.
     """
+    if not all(map(math.isfinite, (central_angle_rad, span_nm, center_nm))):
+        raise ValidationError("angle, span and center must be finite")
     if central_angle_rad < 0.0:
         raise ValidationError("central angle must be non-negative")
     if span_nm <= 0.0:
@@ -387,26 +436,48 @@ def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
     return float(values[0]) if arr.ndim == 1 else values
 
 
+def _parse_float_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def read_float_csv(path, columns: Sequence[str], what: str) -> np.ndarray:
+    """The data rows of a CSV of floats under a fixed header, as an (n, k) array.
+
+    All rows are parsed in one ``np.loadtxt`` pass; blank lines are skipped.
+    A wrong header, a row of another width, a field that is not a number or
+    not finite, and a file without data rows raise ``ValidationError``. The
+    message names the first bad row, which is looked for row by row only
+    when the one pass fails.
+    """
+    with open(path, newline="") as handle:
+        header = next(csv.reader([handle.readline()]), [])
+        lines = [line for line in handle.read().splitlines() if line]
+    if [h.strip() for h in header] != list(columns):
+        raise ValidationError(f"{what} CSV must start with {','.join(columns)}")
+    if not lines:
+        raise ValidationError(f"{what} CSV contains no data rows")
+    try:
+        data = _parse_float_rows(lines)
+    except ValueError:
+        data = None
+    if data is not None and data.shape[1] == len(columns) and np.isfinite(data).all():
+        return data
+    for line, row in zip(lines, csv.reader(lines)):
+        if len(row) != len(columns):
+            raise ValidationError(f"malformed {what} row: {row!r}")
+        try:
+            values = _parse_float_rows([line])
+        except ValueError as exc:
+            raise ValidationError(f"non-numeric {what} row: {row!r}") from exc
+        if not np.isfinite(values).all():
+            raise ValidationError(f"non-finite {what} row: {row!r}")
+    raise ValidationError(f"malformed {what} CSV")
+
+
 def read_trajectory_csv(path) -> list[TrajectoryPoint]:
     """Read a trajectory CSV as written by ``fiberqkd pmd sweep``."""
-    points: list[TrajectoryPoint] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["wavelength_nm", "s1", "s2", "s3"]:
-            raise ValidationError("trajectory CSV must start with wavelength_nm,s1,s2,s3")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"malformed trajectory row: {row!r}")
-            try:
-                lam, s1, s2, s3 = (float(x) for x in row)
-            except ValueError as exc:
-                raise ValidationError(f"non-numeric trajectory row: {row!r}") from exc
-            if not all(map(math.isfinite, (lam, s1, s2, s3))):
-                raise ValidationError(f"non-finite trajectory row: {row!r}")
-            points.append(TrajectoryPoint(wavelength_nm=lam, stokes=(s1, s2, s3)))
-    if not points:
-        raise ValidationError("trajectory CSV contains no data rows")
-    return points
+    rows = read_float_csv(path, ("wavelength_nm", "s1", "s2", "s3"), "trajectory")
+    return [
+        TrajectoryPoint(wavelength_nm=lam, stokes=(s1, s2, s3))
+        for lam, s1, s2, s3 in rows.tolist()
+    ]

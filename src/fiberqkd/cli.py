@@ -92,29 +92,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _read_histogram(path) -> tuple[np.ndarray, np.ndarray]:
-    taus: list[float] = []
-    counts: list[float] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["tau_ns", "counts"]:
-            raise ValidationError("histogram CSV must start with tau_ns,counts")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"malformed histogram row: {row!r}")
-            try:
-                tau, count = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"non-numeric histogram row: {row!r}") from exc
-            if not (math.isfinite(tau) and math.isfinite(count)):
-                raise ValidationError(f"non-finite histogram row: {row!r}")
-            taus.append(tau)
-            counts.append(count)
-    if not taus:
-        raise ValidationError("histogram CSV contains no data rows")
-    return np.array(taus), np.array(counts)
+    rows = channel_mod.read_float_csv(path, ("tau_ns", "counts"), "histogram")
+    tau, counts = np.ascontiguousarray(rows.T)
+    return tau, counts
 
 
 def _load_tally(source):

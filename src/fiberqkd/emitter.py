@@ -177,6 +177,32 @@ def g2_of_delay(tau_ns, model: G2Model) -> np.ndarray:
     return 1.0 - (1.0 - model.g2_zero) * shape
 
 
+def _cw_counts(t, amplitude, g2_zero, a, tau1, tau2):
+    """Expected coincidences of the CW fit: ``amplitude`` times the model."""
+    model = G2Model(a=a, tau1_ns=tau1, tau2_ns=tau2, g2_zero=g2_zero)
+    return amplitude * g2_of_delay(t, model)
+
+
+def _cw_counts_jacobian(t, amplitude, g2_zero, a, tau1, tau2):
+    """Analytic (n, 5) Jacobian of :func:`_cw_counts` in its parameter order.
+
+    With f1 = exp(-|t|/tau1), f2 = exp(-|t|/tau2) and the shape
+    S = (1 + a) f1 - a f2, the counts are amplitude * (1 - (1 - g2_zero) S).
+    """
+    t = np.abs(t)
+    f1 = np.exp(-t / tau1)
+    f2 = np.exp(-t / tau2)
+    shape = (1.0 + a) * f1 - a * f2
+    depth = amplitude * (1.0 - g2_zero)
+    return np.column_stack((
+        1.0 - (1.0 - g2_zero) * shape,
+        amplitude * shape,
+        -depth * (f1 - f2),
+        -depth * (1.0 + a) * f1 * t / tau1**2,
+        depth * a * f2 * t / tau2**2,
+    ))
+
+
 def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
     """Weighted fit of a CW coincidence histogram.
 
@@ -194,10 +220,6 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
         raise ValidationError("need at least 10 histogram bins for a 5-parameter fit")
     if np.any(cts < 0.0):
         raise ValidationError("counts must be non-negative")
-
-    def shape_fn(t, amplitude, g2_zero, a, tau1, tau2):
-        model = G2Model(a=a, tau1_ns=tau1, tau2_ns=tau2, g2_zero=g2_zero)
-        return amplitude * g2_of_delay(t, model)
 
     span = float(np.max(np.abs(tau)))
     outer = np.abs(tau) > 0.8 * span
@@ -220,7 +242,7 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
         with warnings.catch_warnings():
             warnings.simplefilter("error", OptimizeWarning)
             popt, pcov = curve_fit(
-                shape_fn,
+                _cw_counts,
                 tau,
                 cts,
                 p0=[guess["amplitude"], guess["g2_zero"], guess["a"], guess["tau1"], guess["tau2"]],
@@ -228,6 +250,7 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
                 absolute_sigma=True,
                 bounds=(lower, upper),
                 maxfev=20000,
+                jac=_cw_counts_jacobian,
             )
     except (RuntimeError, OptimizeWarning) as exc:
         raise FitConvergenceError(f"CW correlation fit did not converge: {exc}") from exc
@@ -245,7 +268,7 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
         g2_zero=float(popt[1]),
         g2_zero_sigma=float(perr[1]) if np.isfinite(perr[1]) else 0.0,
     )
-    resid = (shape_fn(tau, *popt) - cts) / sigma
+    resid = (_cw_counts(tau, *popt) - cts) / sigma
     dof = max(tau.size - len(popt), 1)
     report = {
         "parameters": {name: float(v) for name, v in zip(names, popt)},

@@ -487,6 +487,8 @@ def run_session(
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     device = config.device
     stats = config.stats

@@ -14,6 +14,7 @@ from fiberqkd.channel import (
     FiberChannel,
     FiberSegment,
     PmdVector,
+    _polar_angles,
     align_first_order_axis,
     apply_channel_rows,
     delta_omega,
@@ -31,6 +32,7 @@ from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import (
     PROTOCOL_STATES,
+    _rodrigues,
     random_unit,
     require_unit,
     rotate,
@@ -316,6 +318,120 @@ def test_arc_fit_equals_fit_on_np_cross_rotations(monkeypatch):
     assert [fit_arc(points) for points in sweeps] == fits
 
 
+def _least_squares_axis(pts, seed_axis, e1, e2):
+    """fit_arc's axis refinement as it was written on scipy's MINPACK least_squares."""
+    from scipy.optimize import least_squares
+
+    def axis_of(params):
+        tilt1, tilt2 = params
+        return _rodrigues(_rodrigues(seed_axis, e1, tilt1), e2, tilt2)
+
+    def residual(params):
+        beta = _polar_angles(pts, axis_of(params))
+        return beta - np.add.reduce(beta) / beta.size
+
+    return axis_of(least_squares(residual, x0=[0.0, 0.0], method="lm").x)
+
+
+def _oracle_fit(points):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fiberqkd.channel, "_refine_axis", _least_squares_axis)
+        return fit_arc(points)
+
+
+def _single_segment_sweeps(n):
+    """Benchmark-like sweeps: one segment of 0.01-2 ps, 32-256 points, wide arcs."""
+    rng = np.random.default_rng(41)
+    for _ in range(n):
+        axis = random_unit(rng)
+        probe = random_unit(rng)
+        while abs(probe @ axis) > 0.99:  # keep the cone open, as perfbench's probes do
+            probe = random_unit(rng)
+        ch = single_segment(dgd_ps=float(10.0 ** rng.uniform(-2.0, np.log10(2.0))),
+                            axis=tuple(axis), reference_nm=1309.5)
+        yield sweep_trajectory(ch, probe, 1306.0, 1313.0, int(rng.integers(32, 257)))
+
+
+def _rough_sweeps(n):
+    """Multi-segment sweeps, every other one with ~0.6 degree jitter on each point."""
+    rng = np.random.default_rng(43)
+    for seed in range(n):
+        ch = synthesize_channel(rng.uniform(0.02, 1.0), 3.5, int(rng.integers(2, 25)), seed)
+        points = sweep_trajectory(ch, random_unit(rng), 1306.0, 1313.0,
+                                  int(rng.integers(3, 200)))
+        if seed % 2:
+            points = [replace(p, stokes=tuple(rotate(p.stokes, random_unit(rng),
+                                                     0.01 * rng.standard_normal())))
+                      for p in points]
+        yield points
+
+
+def test_gauss_newton_arc_fit_equals_least_squares_on_single_segments():
+    """On an exact arc both fits reach the circle; every field agrees to 1e-12."""
+    for points in _single_segment_sweeps(100):
+        fit, oracle = fit_arc(points), _oracle_fit(points)
+        assert fit.degenerate == oracle.degenerate
+        assert fit.n_points == oracle.n_points
+        assert np.allclose(fit.axis, oracle.axis, rtol=0.0, atol=1e-12)
+        for name in ("polar_angle_rad", "rotation_angle_rad", "central_angle_rad"):
+            assert getattr(fit, name) == pytest.approx(getattr(oracle, name), rel=1e-12)
+        # The spread of an exact arc is rounding noise in both fits.
+        assert fit.rms_residual_rad == pytest.approx(oracle.rms_residual_rad, abs=1e-12)
+
+
+def test_gauss_newton_arc_fit_objective_never_above_least_squares():
+    """Off an exact circle MINPACK may stop early on a flat objective; the
+    Gauss-Newton fit's spread of polar angles is never the larger one."""
+    for points in _rough_sweeps(100):
+        fit, oracle = fit_arc(points), _oracle_fit(points)
+        assert fit.degenerate == oracle.degenerate
+        assert fit.rms_residual_rad**2 <= oracle.rms_residual_rad**2 * (1.0 + 1e-9)
+
+
+_unit_vectors = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_points=st.integers(8, 256),
+    jitter=st.sampled_from([0.0, 0.005]),
+    turn_axis=_unit_vectors,
+    turn_angle=st.floats(-np.pi, np.pi, allow_nan=False),
+)
+def test_arc_fit_invariant_under_rigid_rotation(seed, n_points, jitter, turn_axis, turn_angle):
+    """Turning every point of an arc by one rotation turns the fitted axis with
+    it and leaves the angles.
+
+    With jitter on the points the objective is flat along the arc's own
+    plane, so its minimum moves by ~1e-8 with rounding of the points; there
+    only the minimal spread is compared.
+    """
+    rng = np.random.default_rng(seed)
+    axis = random_unit(rng)
+    probe = random_unit(rng)
+    while abs(probe @ axis) > 0.99:
+        probe = random_unit(rng)
+    ch = single_segment(dgd_ps=float(10.0 ** rng.uniform(-2.0, np.log10(2.0))),
+                        axis=tuple(axis), reference_nm=1309.5)
+    points = [replace(p, stokes=tuple(rotate(p.stokes, random_unit(rng),
+                                             jitter * rng.standard_normal())))
+              for p in sweep_trajectory(ch, probe, 1306.0, 1313.0, n_points)]
+    turned = [replace(p, stokes=tuple(rotate(p.stokes, turn_axis, turn_angle)))
+              for p in points]
+    fit, fit_turned = fit_arc(points), fit_arc(turned)
+    assert fit_turned.degenerate == fit.degenerate
+    assert fit_turned.rms_residual_rad == pytest.approx(fit.rms_residual_rad,
+                                                        rel=1e-9, abs=1e-12)
+    if jitter == 0.0:
+        assert np.allclose(fit_turned.axis, rotate(fit.axis, turn_axis, turn_angle),
+                           rtol=0.0, atol=1e-9)
+        for name in ("polar_angle_rad", "rotation_angle_rad", "central_angle_rad"):
+            assert getattr(fit_turned, name) == pytest.approx(getattr(fit, name), rel=1e-9)
+
+
 @pytest.mark.parametrize("bad", [
     {"stokes": (np.nan, 0.0, 1.0)},
     {"stokes": (0.0, np.inf, 0.0)},
@@ -414,6 +530,39 @@ def test_trajectory_csv_round_trip(tmp_path):
     channel = load_scenario("deployed-3p5km").config.channel
     swept = sweep_trajectory(channel, stokes_of("L"), 1306.5, 1313.5, 12)
     assert read_trajectory_csv(path) == swept
+
+
+_HEADER = "wavelength_nm,s1,s2,s3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "trajectory CSV must start with wavelength_nm,s1,s2,s3"),
+    ("wavelength_nm,s1,s2\n1,0,1\n", "trajectory CSV must start with wavelength_nm,s1,s2,s3"),
+    (_HEADER + "\n\n", "trajectory CSV contains no data rows"),
+    (_HEADER + "1,0,1\n", "malformed trajectory row: ['1', '0', '1']"),
+    (_HEADER + "1,0,1,0\n \n", "malformed trajectory row: [' ']"),
+    (_HEADER + "1,0,x,0\n", "non-numeric trajectory row: ['1', '0', 'x', '0']"),
+    (_HEADER + "1,0,1,\n", "non-numeric trajectory row: ['1', '0', '1', '']"),
+    (_HEADER + "1,0,1,0\n2,0,inf,0\n3,x,0,0\n4,0\n",
+     "non-finite trajectory row: ['2', '0', 'inf', '0']"),
+], ids=["empty", "header", "no-rows", "short-row", "blank-row", "word", "empty-field",
+        "first-fault"])
+def test_trajectory_csv_names_the_first_bad_row(tmp_path, text, message):
+    """The one-pass reader raises the row-by-row reader's message for the first fault."""
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == message
+
+
+def test_trajectory_csv_reads_crlf_blank_lines_and_spaces(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b" wavelength_nm, s1 ,s2,s3\r\n1309.0, 0.0 ,1.0,0.0\r\n\r\n1310.0,0,0,1\r\n")
+    points = read_trajectory_csv(path)
+    assert [(p.wavelength_nm, p.stokes) for p in points] == [
+        (1309.0, (0.0, 1.0, 0.0)), (1310.0, (0.0, 0.0, 1.0))]
+    assert all(type(p.wavelength_nm) is float for p in points)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -204,6 +204,25 @@ def test_exit_code_one_on_bad_inputs(tmp_path, capsys):
     capsys.readouterr()  # swallow the error prints
 
 
+@pytest.mark.parametrize("flag", ["--central-angle-deg", "--span-nm", "--center-nm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exit_code_one_on_non_finite_estimate_inputs(capsys, flag, value):
+    """A non-finite angle or sweep is an input error, not a null delay."""
+    args = {"--central-angle-deg": "51.5", "--span-nm": "7.0", "--center-nm": "1310.0"}
+    args[flag] = value
+    argv = ["pmd", "estimate"] + [f"{key}={val}" for key, val in args.items()]  # "-inf" too
+    code, out, err = _run_capturing(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "must be finite" in err
+
+
+def test_exit_code_one_on_negative_simulate_seed(capsys):
+    code, out, err = _run_capturing(capsys, ["simulate", "--scenario", "deployed-3p5km",
+                                             "--seed", "-1", "--pulses", "1000"])
+    assert (code, out) == (1, "")
+    assert "seed must be non-negative" in err
+
+
 def _deployed_doc():
     return json.loads(bundled_scenario_path("deployed-3p5km").read_text())
 
@@ -476,6 +495,25 @@ def test_keyrate_and_offline_sift_leave_scipy_optimize_unloaded():
         "from fiberqkd.protocol import sift\n"
         "assert main(['keyrate', '--tally', 'tally-spool']) == 0\n"
         "sift([(0, 'DA', 0), (1, 'LR', 1)], [(0, ('D',)), (1, ('R',))])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fiberqkd.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_trajectory_fit_and_estimate_leave_scipy_optimize_unloaded(tmp_path):
+    """The arc fit is Gauss-Newton in numpy: one-shot ``pmd fit`` and
+    ``pmd estimate --trajectory`` do not pay for importing the optimizers."""
+    traj = tmp_path / "traj.csv"
+    assert run_cli("pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
+                   "--points", "48", "--out", str(traj)) == 0
+    code = (
+        "import sys\n"
+        "from fiberqkd.cli import main\n"
+        f"assert main(['pmd', 'fit', '--trajectory', {str(traj)!r}]) == 0\n"
+        f"assert main(['pmd', 'estimate', '--trajectory', {str(traj)!r}]) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(fiberqkd.__file__).resolve().parents[1])}

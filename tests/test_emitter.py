@@ -8,6 +8,8 @@ from fiberqkd.emitter import (
     EmitterSpectrum,
     G2Model,
     PhotonStatistics,
+    _cw_counts,
+    _cw_counts_jacobian,
     fit_g2_cw,
     g2_of_delay,
     pulsed_g2,
@@ -169,6 +171,48 @@ def test_cw_fit_maps_optimizer_failure(monkeypatch):
     tau, counts, _ = make_cw_histogram()
     with pytest.raises(FitConvergenceError):
         fit_g2_cw(tau, counts)
+
+
+def test_cw_jacobian_matches_central_differences():
+    rng = np.random.default_rng(13)
+    tau = np.linspace(-200.0, 200.0, 401)
+    for _ in range(50):
+        params = np.array([rng.uniform(10.0, 1e4), rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0),
+                           rng.uniform(0.2, 10.0), rng.uniform(10.0, 200.0)])
+        jac = _cw_counts_jacobian(tau, *params)
+        assert jac.shape == (tau.size, 5)
+        for k in range(5):
+            h = 1e-6 * max(abs(params[k]), 1.0)
+            up, down = params.copy(), params.copy()
+            up[k] += h
+            down[k] -= h
+            central = (_cw_counts(tau, *up) - _cw_counts(tau, *down)) / (2.0 * h)
+            # Entries that vanish (the delay derivatives at tau = 0) are
+            # compared on their column's scale.
+            scale = np.max(np.abs(central)) + 1e-300
+            assert np.allclose(jac[:, k], central, rtol=1e-6, atol=1e-6 * scale)
+
+
+def test_cw_fit_with_jacobian_matches_finite_difference_fit(monkeypatch):
+    import scipy.optimize
+
+    curve_fit = scipy.optimize.curve_fit
+
+    def curve_fit_without_jacobian(*args, jac=None, **kwargs):
+        """curve_fit as fit_g2_cw called it before it passed the analytic Jacobian."""
+        assert jac is not None
+        return curve_fit(*args, **kwargs)
+
+    rng = np.random.default_rng(17)
+    histograms = [make_cw_histogram(seed=seed, baseline=float(rng.choice([900.0, 9000.0])),
+                                    g2_zero=float(rng.uniform(0.15, 0.45)))
+                  for seed in range(24)]
+    fits = [fit_g2_cw(tau, counts)[0] for tau, counts, _ in histograms]
+    monkeypatch.setattr(scipy.optimize, "curve_fit", curve_fit_without_jacobian)
+    for (tau, counts, _), fit in zip(histograms, fits):
+        oracle, _ = fit_g2_cw(tau, counts)
+        assert abs(fit.g2_zero - oracle.g2_zero) <= 1e-6
+        assert fit.g2_zero_sigma == pytest.approx(oracle.g2_zero_sigma, rel=1e-4)
 
 
 def test_cw_fit_rejects_histogram_without_delay_spread(tmp_path, capsys):
