@@ -152,6 +152,8 @@ def synthesize_channel(
     """
     if not pmd_param_ps_per_sqrt_km >= 0.0:
         raise ValidationError("PMD parameter must be non-negative")
+    if not length_km > 0.0:  # checked before its square root is taken
+        raise ValidationError("length must be positive")
     if n_segments < 1:
         raise ValidationError("need at least one segment")
     if seed < 0:

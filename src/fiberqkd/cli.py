@@ -31,10 +31,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import channel as channel_mod
-from .config import BUNDLED_SCENARIOS, bundled_scenario_path, load_scenario, planning_inputs
+from .config import BUNDLED_SCENARIOS, load_scenario, planning_inputs
 from .emitter import fit_g2_cw, pulsed_g2
 from .errors import FitConvergenceError, ValidationError
 from .keyrate import (
+    BUNDLED_TALLIES,
     key_analysis_document,
     load_key_analysis,
     optimize_basis_probability,
@@ -44,8 +45,6 @@ from .keyrate import (
 )
 from .polarization import stokes_of
 from .protocol import PatternSource, run_session
-
-BUNDLED_TALLIES = ("tally-deployed-optimized", "tally-deployed-balanced", "tally-spool")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,13 +94,6 @@ def _read_histogram(path) -> tuple[np.ndarray, np.ndarray]:
     rows = channel_mod.read_float_csv(path, ("tau_ns", "counts"), "histogram")
     tau, counts = np.ascontiguousarray(rows.T)
     return tau, counts
-
-
-def _load_tally(source):
-    if isinstance(source, str) and source in BUNDLED_TALLIES:
-        with bundled_scenario_path(source).open() as handle:
-            return load_key_analysis(handle)
-    return load_key_analysis(source)
 
 
 def cmd_simulate(args) -> int:
@@ -155,7 +147,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_keyrate(args) -> int:
-    tally, security, raw = _load_tally(args.tally)
+    tally, security, raw = load_key_analysis(args.tally)
     result = secure_key_length(tally, security)
     swapped = secure_key_length(tally.swapped_assignment(), security)
     doc = {
@@ -439,7 +431,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FitConvergenceError as exc:

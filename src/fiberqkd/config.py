@@ -15,15 +15,15 @@ statistics untouched.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from importlib import resources
 
 from .channel import FiberChannel, FiberSegment, align_first_order_axis, synthesize_channel
+from .documents import Fields, bundled_path as bundled_scenario_path, read_document
 from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
-from .keyrate import SecurityParams, sent_multiphoton_probability, whole_number
+from .keyrate import SecurityParams, sent_multiphoton_probability
 from .polarization import require_unit
 from .protocol import AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates
 
@@ -56,65 +56,38 @@ class Scenario:
         )
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ValidationError(f"scenario {where} section is missing {key!r}")
-    return doc[key]
+def _segment(doc, where: str) -> FiberSegment:
+    seg = Fields(doc, where)
+    axis = require_unit(seg.get("axis"), f"{where}.axis")
+    return FiberSegment(axis=tuple(axis.tolist()), dgd_ps=seg.number("dgd_ps"))
 
 
-def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
-    """A sub-object of a scenario document; an absent optional one reads as empty."""
-    value = _require(doc, key, where) if required else doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ValidationError(f"scenario {key} section must be an object, got {value!r}")
-    return value
-
-
-def _number(doc: dict, key: str, where: str, default: float | None = None) -> float:
-    """A numeric field; ``default`` stands in for an absent optional one."""
-    value = _require(doc, key, where) if default is None else doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"scenario {where} field {key!r} must be a number, got {value!r}"
-        ) from None
-
-
-def _segment(seg: dict) -> FiberSegment:
-    axis = require_unit(_require(seg, "axis", "channel.segments"), "segment axis")
-    dgd = _number(seg, "dgd_ps", "channel.segments")
-    return FiberSegment(axis=tuple(axis.tolist()), dgd_ps=dgd)
-
-
-def _build_channel(doc: dict) -> FiberChannel:
-    loss = _number(doc, "l_c", "channel")
-    reference = _number(doc, "reference_nm", "channel")
-    if "segments" in doc:
-        segments = doc["segments"]
-        if not (isinstance(segments, list) and all(isinstance(seg, dict) for seg in segments)):
-            raise ValidationError("scenario channel.segments must be a list of objects")
+def _build_channel(doc: Fields) -> FiberChannel:
+    loss = doc.number("l_c")
+    reference = doc.number("reference_nm")
+    if "segments" in doc.doc:
+        segments, where = doc.get("segments"), f"{doc.where}.segments"
+        if not isinstance(segments, list):
+            raise ValidationError(f"{where} must be a list of objects")
         channel = FiberChannel(
-            segments=tuple(_segment(seg) for seg in segments),
+            segments=tuple(_segment(seg, f"{where}[{i}]") for i, seg in enumerate(segments)),
             loss_db=loss,
-            length_km=_number(doc, "length_km", "channel"),
+            length_km=doc.number("length_km"),
             reference_nm=reference,
         )
-    elif "synthesize" in doc:
-        synth = _section(doc, "synthesize", "channel")
-        n_segments = whole_number(_require(synth, "n_segments", "channel.synthesize"), "n_segments")
-        seed = whole_number(_require(synth, "seed", "channel.synthesize"), "seed")
+    elif "synthesize" in doc.doc:
+        synth = doc.section("synthesize")
         channel = synthesize_channel(
-            pmd_param_ps_per_sqrt_km=_number(synth, "pmd_param", "channel.synthesize"),
-            length_km=_number(synth, "length_km", "channel.synthesize"),
-            n_segments=n_segments,
-            seed=seed,
+            pmd_param_ps_per_sqrt_km=synth.number("pmd_param"),
+            length_km=synth.number("length_km"),
+            n_segments=synth.whole("n_segments"),
+            seed=synth.whole("seed"),
             loss_db=loss,
             reference_nm=reference,
         )
     else:
-        raise ValidationError("channel needs either 'segments' or 'synthesize'")
-    target = doc.get("align_first_order_axis_to")
+        raise ValidationError(f"{doc.where} needs either 'segments' or 'synthesize'")
+    target = doc.get("align_first_order_axis_to", None)
     if target is not None:
         channel = align_first_order_axis(channel, target)
     return channel
@@ -133,12 +106,13 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     device = config.device
     loss = config.channel.loss_db
     base = 10.0 ** (-(device.alice_loss_db + loss + device.bob_loss_db) / 10.0)
-    scale_max = 1.0 / (base * device.detector_efficiency)
+    survival = base * device.detector_efficiency  # underflows to 0 on a huge loss
+    scale_max = 1.0 / survival if survival > 0.0 else math.inf
 
     def gap(scale: float) -> float:
         return config.rate_model(0.0, 0.0, detection_scale=scale).sifted_bps - target_bps
 
-    if gap(scale_max) < 0.0:
+    if scale_max == math.inf or gap(scale_max) < 0.0:
         raise ValidationError(
             f"sifted-rate target {target_bps} bps is unreachable even at unit survival"
         )
@@ -150,38 +124,38 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a scenario from its JSON document."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
-    name = doc.get("name", "unnamed")
-    dev = _section(doc, "device", "top level")
+    """Build a scenario from its parsed JSON document."""
+    return load_scenario(doc)
+
+
+def load_scenario(source) -> Scenario:
+    """Load a scenario from a bundled name, a path or a parsed dict."""
+    doc = read_document(source, BUNDLED_SCENARIOS, "scenario")
+    name = doc.text("name", "unnamed")
+    dev = doc.section("device")
     device = DeviceParams(
-        rep_rate_hz=_number(dev, "nu_rep", "device"),
-        detector_efficiency=_number(dev, "eta_det", "device"),
-        dark_prob=_number(dev, "p_dark", "device"),
-        intrinsic_error=_number(dev, "e0", "device"),
-        alice_loss_db=_number(dev, "l_a", "device", 0.0),
-        bob_loss_db=_number(dev, "l_b", "device", 0.0),
+        rep_rate_hz=dev.number("nu_rep"),
+        detector_efficiency=dev.number("eta_det"),
+        dark_prob=dev.number("p_dark"),
+        intrinsic_error=dev.number("e0"),
+        alice_loss_db=dev.number("l_a", 0.0),
+        bob_loss_db=dev.number("l_b", 0.0),
     )
-    stats = PhotonStatistics(
-        mu=_number(dev, "r_c", "device"),
-        g2_zero=_number(dev, "g2_zero", "device"),
-    )
-    emit = _section(doc, "emitter", "top level")
+    stats = PhotonStatistics(mu=dev.number("r_c"), g2_zero=dev.number("g2_zero"))
+    emit = doc.section("emitter")
     spectrum = EmitterSpectrum(
-        center_nm=_number(emit, "center_nm", "emitter"),
-        fwhm_nm=_number(emit, "fwhm_nm", "emitter"),
-        shape=emit.get("shape", "gaussian"),
+        center_nm=emit.number("center_nm"),
+        fwhm_nm=emit.number("fwhm_nm"),
+        shape=emit.text("shape", "gaussian"),
     )
-    channel = _build_channel(_section(doc, "channel", "top level"))
-    alice_doc = _section(doc, "alice", "top level", required=False)
-    alice = AliceSettings(p_key=_number(alice_doc, "p_key", "alice", 0.5))
-    receiver = _section(doc, "receiver", "top level", required=False)
-    sec = _section(doc, "security", "top level", required=False)
+    channel = _build_channel(doc.section("channel"))
+    alice = AliceSettings(p_key=doc.section("alice", required=False).number("p_key", 0.5))
+    receiver = doc.section("receiver", required=False)
+    sec = doc.section("security", required=False)
     security = SecurityParams(
-        eps_sec=_number(sec, "eps_sec", "security", 1e-12),
-        eps_cor=_number(sec, "eps_cor", "security", 1e-12),
-        f=_number(sec, "f", "security", 1.16),
+        eps_sec=sec.number("eps_sec", 1e-12),
+        eps_cor=sec.number("eps_cor", 1e-12),
+        f=sec.number("f", 1.16),
     )
     config = SessionConfig(
         device=device,
@@ -189,48 +163,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         spectrum=spectrum,
         channel=channel,
         alice=alice,
-        bob_split=_number(receiver, "bob_split", "receiver", 0.5),
-        key_basis=doc.get("key_basis", "DA"),
-        double_click_policy=receiver.get("double_click_policy", "discard"),
-        detection_scale=1.0,
-        window_s=_number(doc, "window_s", "top level", 20.0),
+        bob_split=receiver.number("bob_split", 0.5),
+        key_basis=doc.text("key_basis", "DA"),
+        double_click_policy=receiver.text("double_click_policy", "discard"),
+        window_s=doc.number("window_s", 20.0),
     )
-    calibration = _section(doc, "calibration", "top level", required=False)
-    if calibration.get("sifted_rate_target_bps") is not None:
-        target = _number(calibration, "sifted_rate_target_bps", "calibration")
+    calibration = doc.section("calibration", required=False)
+    if calibration.get("sifted_rate_target_bps", None) is not None:
+        target = calibration.number("sifted_rate_target_bps")
         config = replace(config, detection_scale=_solve_detection_scale(config, target))
-    return Scenario(
-        name=name,
-        config=config,
-        security=security,
-        duration_s=_number(doc, "duration_s", "top level", 3600.0),
-    )
-
-
-def bundled_scenario_path(name: str):
-    return resources.files("fiberqkd.data").joinpath(f"{name}.json")
-
-
-def load_scenario(source) -> Scenario:
-    """Load a scenario from a bundled name, a path or a parsed dict."""
-    if isinstance(source, dict):
-        return scenario_from_dict(source)
-    text = None
-    if isinstance(source, str) and source in BUNDLED_SCENARIOS:
-        text = bundled_scenario_path(source).read_text()
-    else:
-        try:
-            with open(source) as handle:
-                text = handle.read()
-        except FileNotFoundError:
-            raise ValidationError(
-                f"no scenario named {source!r}; bundled names: {', '.join(BUNDLED_SCENARIOS)}"
-            ) from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return Scenario(name, config, security, duration_s=doc.number("duration_s", 3600.0))
 
 
 def planning_inputs(scenario: Scenario) -> dict:

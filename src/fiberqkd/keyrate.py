@@ -20,13 +20,14 @@ whole grid of basis biases or channel losses costs one pass;
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .documents import read_document
 from .emitter import PhotonStatistics
 from .errors import ValidationError
 
@@ -112,6 +113,8 @@ class SecurityParams:
     def __post_init__(self):
         if not 0.0 < self.eps_sec < 1.0 or not 0.0 < self.eps_cor < 1.0:
             raise ValidationError("failure probabilities must lie in (0, 1)")
+        if not self.eps_sec**2 * self.eps_cor >= sys.float_info.min:  # the log term divides by it
+            raise ValidationError("eps_sec**2 * eps_cor underflows the float range")
         if not self.f >= 1.0:
             raise ValidationError("reconciliation efficiency factor must be at least one")
 
@@ -156,17 +159,7 @@ class KeyTally:
         with their roles. This scores how the session would have done with
         the bias favoring the other basis.
         """
-        return KeyTally(
-            n_key=self.n_key,
-            n_check=self.n_check,
-            e_key=self.e_check,
-            e_check=self.e_key,
-            p_key=self.p_key,
-            p_check=self.p_check,
-            p_det=self.p_det,
-            p_multi=self.p_multi,
-            duration_s=self.duration_s,
-        )
+        return replace(self, e_key=self.e_check, e_check=self.e_key)
 
 
 @dataclass(frozen=True)
@@ -505,55 +498,30 @@ def sent_multiphoton_probability(
     return PhotonStatistics(mu=mu_sent, g2_zero=g2_zero).p_multi
 
 
-_TALLY_KEYS = ("n_z", "n_x", "e_z", "e_x", "p_z", "p_x", "p_det", "p_m")
-_SECURITY_KEYS = ("eps_sec", "eps_cor", "f")
-
-
-def whole_number(value, what: str) -> int:
-    """A count read from a document, rejected unless it is a finite whole number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a whole number, got {value!r}") from None
-    if not (math.isfinite(number) and number.is_integer()):
-        raise ValidationError(f"{what} must be a whole number, got {value!r}")
-    return int(value) if isinstance(value, int) else int(number)
+BUNDLED_TALLIES = ("tally-deployed-optimized", "tally-deployed-balanced", "tally-spool")
 
 
 def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
-    """Read a key-analysis JSON document (path, file object or dict).
+    """Read a key-analysis JSON document (bundled name, path or dict).
 
-    The key basis is called z and the check basis x in the on-disk names.
-    Returns the tally, the security parameters and the raw document for
-    access to optional metadata.
+    The key basis is called z and the check basis x in the on-disk names. An
+    absent or null ``duration_s`` means no duration. Returns the tally, the
+    security parameters and the raw document for access to optional metadata.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as handle:
-            doc = json.load(handle)
-    missing = [k for k in _TALLY_KEYS + _SECURITY_KEYS if k not in doc]
-    if missing:
-        raise ValidationError(f"key-analysis document missing fields: {missing}")
+    doc = read_document(source, BUNDLED_TALLIES, "tally")
     tally = KeyTally(
-        n_key=whole_number(doc["n_z"], "n_z"),
-        n_check=whole_number(doc["n_x"], "n_x"),
-        e_key=float(doc["e_z"]),
-        e_check=float(doc["e_x"]),
-        p_key=float(doc["p_z"]),
-        p_check=float(doc["p_x"]),
-        p_det=float(doc["p_det"]),
-        p_multi=float(doc["p_m"]),
-        duration_s=float(doc["duration_s"]) if doc.get("duration_s") else None,
+        n_key=doc.whole("n_z"),
+        n_check=doc.whole("n_x"),
+        e_key=doc.number("e_z"),
+        e_check=doc.number("e_x"),
+        p_key=doc.number("p_z"),
+        p_check=doc.number("p_x"),
+        p_det=doc.number("p_det"),
+        p_multi=doc.number("p_m"),
+        duration_s=None if doc.get("duration_s", None) is None else doc.number("duration_s"),
     )
-    security = SecurityParams(
-        eps_sec=float(doc["eps_sec"]),
-        eps_cor=float(doc["eps_cor"]),
-        f=float(doc["f"]),
-    )
-    return tally, security, doc
+    security = SecurityParams(**{key: doc.number(key) for key in ("eps_sec", "eps_cor", "f")})
+    return tally, security, doc.doc
 
 
 def key_analysis_document(tally: KeyTally, security: SecurityParams) -> dict:

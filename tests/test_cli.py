@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import copy
 import csv
 import json
 import math
@@ -323,10 +324,15 @@ def _set_channel(key, value):
     _set_channel("segments", 5),
     _set_channel("segments", [5]),
     _set_channel("synthesize", None),
+    _set_channel("l_c", 1e6),
+    lambda doc: doc["device"].update(l_a=1e6),
+    _set_synthesize("length_km", 0),
+    _set_synthesize("length_km", -1.0),
 ], ids=["n_segments-fractional", "n_segments-text", "n_segments-null", "seed-fractional",
         "seed-text", "seed-negative", "segment-without-axis", "segment-without-dgd",
         "segment-axis-text", "segment-axis-number", "segment-axis-null", "segment-dgd-text",
-        "segments-number", "segments-of-numbers", "synthesize-null"])
+        "segments-number", "segments-of-numbers", "synthesize-null", "l_c-1e6-dB",
+        "l_a-1e6-dB", "length_km-zero", "length_km-negative"])
 def test_exit_code_one_on_malformed_channel(tmp_path, capsys, edit):
     """Channel counts are whole numbers, never truncated, and segments are
     complete, numeric and spelled out as a list of objects."""
@@ -356,8 +362,9 @@ def _with(value, *keys):
     _with(None, "alice"),
     _with("x", "receiver"),
     _with(None, "calibration"),
+    _with(1e-300, "security", "eps_sec"),
 ], ids=["document-list", "nu_rep-text", "l_c-text", "pmd_param-text", "alice-null",
-        "receiver-text", "calibration-null"])
+        "receiver-text", "calibration-null", "eps_sec-underflow"])
 def test_exit_code_one_on_malformed_scenario(tmp_path, capsys, edit):
     """Every scenario section is an object and every number field a number."""
     path = tmp_path / "scenario.json"
@@ -371,7 +378,10 @@ def test_exit_code_one_on_malformed_scenario(tmp_path, capsys, edit):
     ("f", math.nan),
     ("n_z", math.nan),
     ("n_z", 10.7),
-], ids=["p_m-nan", "f-nan", "n_z-nan", "n_z-fractional"])
+    ("eps_sec", 1e-300),
+    ("eps_cor", 1e-300),
+], ids=["p_m-nan", "f-nan", "n_z-nan", "n_z-fractional", "eps_sec-underflow",
+        "eps_cor-underflow"])
 def test_exit_code_one_on_bad_tally_fields(tmp_path, capsys, key, value):
     doc = json.loads(bundled_scenario_path("tally-deployed-optimized").read_text())
     doc[key] = value
@@ -379,6 +389,113 @@ def test_exit_code_one_on_bad_tally_fields(tmp_path, capsys, key, value):
     path.write_text(json.dumps(doc))
     assert run_cli("keyrate", "--tally", str(path)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    _with("8e7", "device", "nu_rep"),
+    _with(True, "channel", "synthesize", "n_segments"),
+    _with(False, "device", "l_b"),
+    _with(math.inf, "duration_s"),
+    _with(7, "key_basis"),
+], ids=["nu_rep-numeric-text", "n_segments-true", "l_b-false", "duration-inf",
+        "key_basis-number"])
+def test_exit_code_one_on_numeric_text_booleans_and_infinite_duration(tmp_path, capsys,
+                                                                       edit):
+    """Numbers are finite JSON numbers: numeric text and booleans are not read
+    as numbers, and an infinite duration is not an asymptotic request."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edit(_deployed_doc())))
+    code, out, err = _run_capturing(capsys, ["optimize", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert "error: scenario." in err
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path / "input"
+        path.mkdir()
+    else:
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\x80\x81 not UTF-8 \xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "1", "--pulses", "1000", "--scenario"],
+    ["keyrate", "--tally"],
+    ["pmd", "fit", "--trajectory"],
+    ["g2", "pulsed", "--period-ns", "12.5", "--histogram"],
+    ["simulate", "--scenario", "deployed-3p5km", "--seed", "1", "--pulses", "1000",
+     "--pattern"],
+], ids=["scenario", "tally", "trajectory", "histogram", "pattern"])
+def test_exit_code_one_on_unreadable_files(tmp_path, capsys, argv, kind):
+    code, out, err = _run_capturing(capsys, argv + [_unreadable(tmp_path, kind)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+_ABSENT = object()
+_REPLACEMENTS = (_ABSENT, None, True, False, "x", "1.0", [], {}, [1.0], math.nan, math.inf,
+                 -math.inf, -1, 0, 0.5, 2)
+
+
+def _paths(node, prefix=()):
+    """The key path of every section and leaf below a parsed JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _ABSENT:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def _segments_doc():
+    doc = _deployed_doc()
+    _one_segment_channel(doc, dict(_SEGMENT))
+    return doc
+
+
+def _tally_doc():
+    return json.loads(bundled_scenario_path("tally-spool").read_text())
+
+
+_SCENARIO_COMMANDS = (["pmd", "sweep", "--points", "8", "--scenario"],
+                      ["optimize", "--duration", "60", "--scenario"])
+
+
+@pytest.mark.parametrize("make_doc, commands", [
+    (_deployed_doc, _SCENARIO_COMMANDS),
+    (_segments_doc, _SCENARIO_COMMANDS),
+    (_tally_doc, (["keyrate", "--tally"],)),
+], ids=["deployed", "deployed-one-segment", "tally-spool"])
+def test_mutation_grid_never_exits_two(tmp_path, capsys, make_doc, commands):
+    """Every section and leaf in turn removed or replaced by a wrong type, a
+    non-finite number or a boundary value: each run gives a result or an
+    input error with empty stdout, never an unexpected failure."""
+    doc = make_doc()
+    path = tmp_path / "doc.json"
+    failures = []
+    for keys in _paths(doc):
+        for value in _REPLACEMENTS:
+            path.write_text(json.dumps(_replaced(doc, keys, value)))
+            for command in commands:
+                code, out, err = _run_capturing(capsys, command + [str(path)])
+                if code not in (0, 1) or (code == 1 and out):
+                    label = "absent" if value is _ABSENT else repr(value)
+                    failures.append((command[0], keys, label, code, err))
+    assert failures == []
 
 
 def _set_csv_cell(path, row, column, value):

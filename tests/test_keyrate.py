@@ -160,6 +160,53 @@ def test_swapped_assignment_changes_only_error_roles():
     assert res.rate_bps == pytest.approx(413.5777777777778, rel=1e-12)
 
 
+# Where the length is positive, one more key count raises the raw length by
+# at least log_term / n, above 1e-5 bits for n up to 10^7, and a check-error
+# step of at least 1e-6 lowers it by far more than the rounding of n (1 - h).
+# So the comparisons below hold exactly over these ranges.
+_TALLY_FIELDS = dict(
+    n_key=st.integers(1, 10**7),
+    n_check=st.integers(1, 10**7),
+    e_key=st.floats(0.0, 0.5),
+    e_check=st.floats(0.0, 0.5),
+    p_key=st.floats(0.01, 0.99),
+    p_det=st.floats(1e-6, 1.0),
+    p_multi=st.floats(0.0, 1e-6),
+)
+
+
+def _tally(p_key, **fields):
+    return KeyTally(p_key=p_key, p_check=1.0 - p_key, **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.integers(1, 10**7), **_TALLY_FIELDS)
+def test_secure_length_does_not_decrease_with_key_count(extra, n_key, **fields):
+    """More key-basis detections never shorten the key: the deviation term
+    shrinks and the per-bit credit grows (Tomamichel, Lim, Gisin and Renner,
+    Nat. Commun. 3, 634 (2012): the extractable length grows with the block)."""
+    fewer = secure_key_length(_tally(n_key=n_key, **fields), SECURITY).length_bits
+    more = secure_key_length(_tally(n_key=n_key + extra, **fields), SECURITY).length_bits
+    assert more >= fewer
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=st.floats(1e-6, 0.5), **_TALLY_FIELDS)
+def test_secure_length_does_not_increase_with_check_error(step, e_check, **fields):
+    """A higher check-basis error bounds the phase error higher and never
+    lengthens the key (read against the same Tomamichel et al. bound)."""
+    lower = secure_key_length(_tally(e_check=e_check, **fields), SECURITY).length_bits
+    higher = secure_key_length(_tally(e_check=e_check + step, **fields), SECURITY).length_bits
+    assert higher <= lower
+
+
+@settings(max_examples=100, deadline=None)
+@given(duration_s=st.none() | st.floats(1e-3, 1e6), **_TALLY_FIELDS)
+def test_swapped_assignment_is_an_involution(**fields):
+    tally = _tally(**fields)
+    assert tally.swapped_assignment().swapped_assignment() == tally
+
+
 def test_status_multi_photon_dominated():
     tally = KeyTally(n_key=10_000, n_check=10_000, e_key=0.01, e_check=0.01,
                      p_key=0.5, p_check=0.5, p_det=1e-6, p_multi=1e-6)
@@ -487,6 +534,38 @@ def test_load_key_analysis_missing_field():
            "p_det": 1.0, "p_m": 0.0, "eps_sec": 1e-12, "eps_cor": 1e-12}
     with pytest.raises(ValidationError):
         load_key_analysis(doc)  # no error-correction efficiency
+
+
+def test_load_key_analysis_by_bundled_name():
+    by_name = load_key_analysis("tally-spool")
+    assert by_name == bundled_tally("tally-spool")
+    assert by_name[0].n_key == 923003 and isinstance(by_name[0].n_key, int)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("duration_s"),
+    lambda doc: doc.update(duration_s=None),
+], ids=["absent", "null"])
+def test_load_key_analysis_without_duration(edit):
+    doc = key_analysis_document(bundled_tally("tally-spool")[0], SECURITY)
+    edit(doc)
+    tally, _, _ = load_key_analysis(doc)
+    assert tally.duration_s is None
+    assert secure_key_length(tally, SECURITY).rate_bps is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", 0),
+    ("duration_s", "3600"),
+    ("n_z", True),
+    ("p_det", "6.4e-06"),
+    ("f", False),
+], ids=["duration-zero", "duration-text", "n_z-true", "p_det-text", "f-false"])
+def test_load_key_analysis_rejects_zero_duration_text_and_booleans(key, value):
+    doc = key_analysis_document(bundled_tally("tally-spool")[0], SECURITY)
+    doc[key] = value
+    with pytest.raises(ValidationError, match=f"tally.{key}|duration"):
+        load_key_analysis(doc)
 
 
 def test_empirical_helpers_frozen():
