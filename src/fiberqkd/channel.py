@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .fitting import least_squares
 from .polarization import (
     _rodrigues,
     cross,
@@ -258,26 +259,19 @@ def _azimuths(points: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.unwrap(np.arctan2(points @ v, points @ u))
 
 
-# Cap on the Gauss-Newton steps of an arc fit, MINPACK's default evaluation
-# budget for two parameters. An arc converges in a handful of steps; a
-# jittered short arc, whose objective is a long flat valley, may need hundreds.
-_ARC_FIT_STEPS = 300
-
-
 def _refine_axis(pts: np.ndarray, seed_axis: np.ndarray, e1: np.ndarray, e2: np.ndarray):
     """Axis that minimizes the spread of the points' polar angles.
 
     The axis is the seed tilted by ``t1`` about ``e1`` and then by ``t2``
-    about ``e2``. Damped Gauss-Newton on the 2x2 normal equations refines
-    (t1, t2) from zero, with the analytic Jacobian of the polar angles
-    ``beta = arccos(p . axis)``: d axis/dt1 = R(e2, t2)(e1 x a1), where a1 is
-    the seed after the first tilt, and d axis/dt2 = e2 x axis. The damping
-    follows the ratio of actual to predicted decrease (Nielsen's rule). Only
-    steps that lower the objective are taken, so the result is the
-    lowest-objective iterate. The loop ends when a step falls below 1e-12 rad.
+    about ``e2``; :func:`least_squares` refines (t1, t2) from zero with the
+    analytic Jacobian of the polar angles ``beta = arccos(p . axis)``:
+    d axis/dt1 = R(e2, t2)(e1 x a1), where a1 is the seed after the first
+    tilt, and d axis/dt2 = e2 x axis. A solve that runs out of steps keeps
+    its lowest-objective iterate.
     """
 
-    def evaluate(t1, t2):
+    def residual(tilts):
+        t1, t2 = tilts.tolist()
         a1 = _rodrigues(seed_axis, e1, t1)
         axis = _rodrigues(a1, e2, t2)
         x = (pts @ axis).clip(-1.0, 1.0)
@@ -288,33 +282,10 @@ def _refine_axis(pts: np.ndarray, seed_axis: np.ndarray, e1: np.ndarray, e2: np.
         # the axis finite, and a step it spoils is refused like any other.
         jac = (pts @ d) / -np.sqrt(np.maximum(1.0 - x * x, 1e-300))[:, None]
         jac -= np.add.reduce(jac) / beta.size
-        return axis, float(r @ r), (jac.T @ r).tolist(), (jac.T @ jac).tolist()
+        return r, jac
 
-    t1 = t2 = 0.0
-    axis, cost, (g1, g2), ((h11, h12), (_, h22)) = evaluate(t1, t2)
-    damping, growth = 1e-3 * max(h11, h22), 2.0
-    for _ in range(_ARC_FIT_STEPS):
-        det = (h11 + damping) * (h22 + damping) - h12 * h12
-        if not det > 0.0:
-            damping, growth = max(growth * damping, 1e-300), 2.0 * growth
-            continue
-        step1 = (h12 * g2 - (h22 + damping) * g1) / det
-        step2 = (h12 * g1 - (h11 + damping) * g2) / det
-        trial = evaluate(t1 + step1, t2 + step2)
-        # The linear model's decrease of |r|^2 for this step.
-        predicted = -(2.0 * (g1 * step1 + g2 * step2) + h11 * step1 * step1
-                      + 2.0 * h12 * step1 * step2 + h22 * step2 * step2)
-        if trial[1] < cost:
-            gain = (cost - trial[1]) / predicted if predicted > 0.0 else 1.0
-            t1, t2 = t1 + step1, t2 + step2
-            axis, cost, (g1, g2), ((h11, h12), (_, h22)) = trial
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            growth = 2.0
-        else:
-            damping, growth = growth * damping, 2.0 * growth
-        if max(abs(step1), abs(step2)) < 1e-12:
-            break
-    return axis
+    t1, t2 = least_squares(residual, [0.0, 0.0])[0].tolist()
+    return _rodrigues(_rodrigues(seed_axis, e1, t1), e2, t2)
 
 
 def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:

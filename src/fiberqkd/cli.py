@@ -26,7 +26,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -253,13 +253,7 @@ def cmd_g2_fit_cw(args) -> int:
     model, report = fit_g2_cw(tau, counts)
     doc = dict(report)
     doc["histogram"] = args.histogram
-    doc["model"] = {
-        "a": model.a,
-        "tau1_ns": model.tau1_ns,
-        "tau2_ns": model.tau2_ns,
-        "g2_zero": model.g2_zero,
-        "g2_zero_sigma": model.g2_zero_sigma,
-    }
+    doc["model"] = asdict(model)
     _emit_json(doc, args.out)
     return 0
 

@@ -58,7 +58,7 @@ class Scenario:
 
 def _segment(doc, where: str) -> FiberSegment:
     seg = Fields(doc, where)
-    axis = require_unit(seg.get("axis"), f"{where}.axis")
+    axis = require_unit(seg.vector("axis"), f"{where}.axis")
     return FiberSegment(axis=tuple(axis.tolist()), dgd_ps=seg.number("dgd_ps"))
 
 
@@ -89,6 +89,8 @@ def _build_channel(doc: Fields) -> FiberChannel:
         raise ValidationError(f"{doc.where} needs either 'segments' or 'synthesize'")
     target = doc.get("align_first_order_axis_to", None)
     if target is not None:
+        if not isinstance(target, str):  # a cardinal label, or else a vector
+            target = doc.vector("align_first_order_axis_to")
         channel = align_first_order_axis(channel, target)
     return channel
 
@@ -96,31 +98,35 @@ def _build_channel(doc: Fields) -> FiberChannel:
 def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     """Detection-scale factor that reproduces a measured sifted rate.
 
-    The closed-form sifted rate does not depend on the misalignment errors,
-    so the solve sets them to zero and runs no quadrature.
+    The closed-form sifted fraction is B + A s in the signal-click
+    probability s = b t - p_m t^2 (b = p_1 + 2 p_m) of the survival t, so the
+    scale has a closed form. A and B come from the rate model at the least
+    positive scale, where s vanishes, and at survival 1/2, both with zero
+    misalignment errors: the sifted fraction does not depend on them.
     """
-    from scipy.optimize import brentq  # imported on use: slow to load
-
     if not target_bps > 0.0:
         raise ValidationError("sifted-rate target must be positive")
-    device = config.device
-    loss = config.channel.loss_db
-    base = 10.0 ** (-(device.alice_loss_db + loss + device.bob_loss_db) / 10.0)
-    survival = base * device.detector_efficiency  # underflows to 0 on a huge loss
-    scale_max = 1.0 / survival if survival > 0.0 else math.inf
-
-    def gap(scale: float) -> float:
-        return config.rate_model(0.0, 0.0, detection_scale=scale).sifted_bps - target_bps
-
-    if scale_max == math.inf or gap(scale_max) < 0.0:
+    device, stats = config.device, config.stats
+    loss = device.alice_loss_db + config.channel.loss_db + device.bob_loss_db
+    survival = 10.0 ** (-loss / 10.0) * device.detector_efficiency  # 0 on a huge loss
+    s = math.inf  # stays when no survival or no signal click raises the sifted rate
+    if survival > 0.0 and 0.5 / survival < math.inf:
+        floor = config.rate_model(0.0, 0.0, detection_scale=math.ulp(0.0))
+        half = config.rate_model(0.0, 0.0, detection_scale=0.5 / survival)
+        rise = half.sifted_fraction - floor.sifted_fraction
+        if rise > 0.0:
+            s = ((target_bps / device.rep_rate_hz - floor.sifted_fraction)
+                 * (half.p_signal_click - floor.p_signal_click) / rise)
+    if not s <= stats.p_single + stats.p_multi:
         raise ValidationError(
             f"sifted-rate target {target_bps} bps is unreachable even at unit survival"
         )
-    if gap(1e-12) > 0.0:
+    if s < 0.0:
         raise ValidationError(
             f"sifted-rate target {target_bps} bps sits below the dark-count floor"
         )
-    return float(brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14))
+    b = stats.p_single + 2.0 * stats.p_multi
+    return 2.0 * s / (b + math.sqrt(b * b - 4.0 * stats.p_multi * s)) / survival
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -1,9 +1,10 @@
 """Scenario and key-analysis documents: one loader and one typed field reader.
 
 A field is an object, a finite JSON number (never a boolean or numeric
-text), a number with an integer value, or text. Failures raise
-``ValidationError`` naming the field's path; range checks stay with the
-dataclasses the fields build. A leaf module, so any module may import it.
+text), a number with an integer value, a list of three numbers, or text.
+Failures raise ``ValidationError`` naming the field's path; range checks
+stay with the dataclasses the fields build. A leaf module, so any module may
+import it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from .errors import ValidationError
 
 _REQUIRED = object()
 _MAX = sys.float_info.max  # an int above it is no finite float; NaN fails every comparison
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: an int or a float, never a boolean."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= _MAX
 
 
 def bundled_path(name: str):
@@ -47,9 +53,16 @@ class Fields:
     def number(self, key: str, default=_REQUIRED) -> float:
         """A finite JSON number as a float."""
         value = self.get(key, default)
-        if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= _MAX):
+        if not _is_number(value):
             raise ValidationError(f"{self.where}.{key} must be a finite number, got {value!r}")
         return float(value)
+
+    def vector(self, key: str) -> list[float]:
+        """A list of three finite JSON numbers as floats."""
+        value = self.get(key)
+        if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
+            raise ValidationError(f"{self.where}.{key} must be 3 finite numbers, got {value!r}")
+        return [float(v) for v in value]
 
     def whole(self, key: str) -> int:
         """A finite number with an integer value, as an exact int."""

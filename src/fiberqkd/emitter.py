@@ -14,18 +14,24 @@ central coincidence peak against the mean of the side peaks.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitConvergenceError, ValidationError
+from .fitting import least_squares
 
 SPECTRUM_SHAPES = ("rectangular", "gaussian", "lorentzian")
 
 # Gaussian and Lorentzian densities are truncated this many FWHMs either side
 # of center; the neglected tails carry < 1e-5 of the weight.
 TRUNCATION_FWHM = 3.0
+
+# Weight of a Gaussian inside its truncated support: erf(half / (sigma sqrt 2))
+# with half = TRUNCATION_FWHM * fwhm and fwhm = 2 sqrt(2 ln 2) sigma, the
+# same for every FWHM.
+_GAUSSIAN_MASS = math.erf(2.0 * TRUNCATION_FWHM * math.sqrt(math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,8 @@ class EmitterSpectrum:
         if self.shape == "rectangular":
             out = np.where(inside, 1.0 / self.fwhm_nm, 0.0)
         elif self.shape == "gaussian":
-            from scipy.special import erf  # imported on use: slow to load
-
             sigma = self.fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-            half = hi - self.center_nm
-            mass = float(erf(half / (sigma * np.sqrt(2.0))))
-            peak = 1.0 / (sigma * np.sqrt(2.0 * np.pi) * mass)
+            peak = 1.0 / (sigma * np.sqrt(2.0 * np.pi) * _GAUSSIAN_MASS)
             out = np.where(inside, peak * np.exp(-0.5 * (x / sigma) ** 2), 0.0)
         else:
             gamma = 0.5 * self.fwhm_nm
@@ -178,13 +180,8 @@ def g2_of_delay(tau_ns, model: G2Model) -> np.ndarray:
 
 
 def _cw_counts(t, amplitude, g2_zero, a, tau1, tau2):
-    """Expected coincidences of the CW fit: ``amplitude`` times the model."""
-    model = G2Model(a=a, tau1_ns=tau1, tau2_ns=tau2, g2_zero=g2_zero)
-    return amplitude * g2_of_delay(t, model)
-
-
-def _cw_counts_jacobian(t, amplitude, g2_zero, a, tau1, tau2):
-    """Analytic (n, 5) Jacobian of :func:`_cw_counts` in its parameter order.
+    """Expected coincidences of the CW fit, ``amplitude`` times the model, and
+    their analytic (n, 5) Jacobian in the parameter order.
 
     With f1 = exp(-|t|/tau1), f2 = exp(-|t|/tau2) and the shape
     S = (1 + a) f1 - a f2, the counts are amplitude * (1 - (1 - g2_zero) S).
@@ -193,9 +190,10 @@ def _cw_counts_jacobian(t, amplitude, g2_zero, a, tau1, tau2):
     f1 = np.exp(-t / tau1)
     f2 = np.exp(-t / tau2)
     shape = (1.0 + a) * f1 - a * f2
+    model = 1.0 - (1.0 - g2_zero) * shape
     depth = amplitude * (1.0 - g2_zero)
-    return np.column_stack((
-        1.0 - (1.0 - g2_zero) * shape,
+    return amplitude * model, np.column_stack((
+        model,
         amplitude * shape,
         -depth * (f1 - f2),
         -depth * (1.0 + a) * f1 * t / tau1**2,
@@ -210,65 +208,48 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
     fitted model plus a report with parameters, one-sigma errors and the
     reduced chi-square. Raises FitConvergenceError when the optimizer fails.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit  # imported on use: slow to load
-
     tau = np.asarray(tau_ns, dtype=float)
     cts = np.asarray(counts, dtype=float)
     if tau.shape != cts.shape or tau.ndim != 1:
         raise ValidationError("delay and count arrays must be 1-d and equal length")
     if tau.size < 10:
         raise ValidationError("need at least 10 histogram bins for a 5-parameter fit")
+    if not (np.isfinite(tau).all() and np.isfinite(cts).all()):
+        raise ValidationError("delays and counts must be finite")
     if np.any(cts < 0.0):
         raise ValidationError("counts must be non-negative")
 
     span = float(np.max(np.abs(tau)))
+    if span == 0.0:
+        raise ValidationError("delays must not all be zero")
     outer = np.abs(tau) > 0.8 * span
     baseline = float(np.median(cts[outer])) if np.any(outer) else float(np.median(cts))
     baseline = max(baseline, 1.0)
     near = np.abs(tau) <= np.partition(np.abs(tau), 2)[2]
-    guess = {
-        "amplitude": baseline,
-        "g2_zero": float(np.clip(np.mean(cts[near]) / baseline, 0.0, 1.0)),
-        "a": max(float(np.max(cts)) / baseline - 1.0, 0.0) + 0.01,
-        "tau1": span / 50.0,
-        "tau2": span / 5.0,
-    }
+    guess = [baseline, float(np.clip(np.mean(cts[near]) / baseline, 0.0, 1.0)),
+             max(float(np.max(cts)) / baseline - 1.0, 0.0) + 0.01, span / 50.0, span / 5.0]
 
     sigma = np.sqrt(np.maximum(cts, 1.0))
     lower = [0.0, 0.0, 0.0, span * 1e-6, span * 1e-6]
     upper = [np.inf, 1.0, np.inf, span * 10.0, span * 100.0]
     names = ("amplitude", "g2_zero", "a", "tau1_ns", "tau2_ns")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", OptimizeWarning)
-            popt, pcov = curve_fit(
-                _cw_counts,
-                tau,
-                cts,
-                p0=[guess["amplitude"], guess["g2_zero"], guess["a"], guess["tau1"], guess["tau2"]],
-                sigma=sigma,
-                absolute_sigma=True,
-                bounds=(lower, upper),
-                maxfev=20000,
-                jac=_cw_counts_jacobian,
-            )
-    except (RuntimeError, OptimizeWarning) as exc:
-        raise FitConvergenceError(f"CW correlation fit did not converge: {exc}") from exc
-    except ValueError as exc:
-        # curve_fit rejects non-finite data and an empty bounds box (all delays zero)
-        raise ValidationError(f"histogram cannot be fit: {exc}") from exc
 
-    perr = np.sqrt(np.diag(pcov))
-    if not np.all(np.isfinite(popt)):
-        raise FitConvergenceError("CW correlation fit returned non-finite parameters")
-    model = G2Model(
-        a=float(popt[2]),
-        tau1_ns=float(popt[3]),
-        tau2_ns=float(popt[4]),
-        g2_zero=float(popt[1]),
-        g2_zero_sigma=float(perr[1]) if np.isfinite(perr[1]) else 0.0,
-    )
-    resid = (_cw_counts(tau, *popt) - cts) / sigma
+    def weighted(params):
+        expected, jac = _cw_counts(tau, *params)
+        return (expected - cts) / sigma, jac / sigma[:, None]
+
+    popt, resid, jac, converged = least_squares(weighted, guess, (lower, upper))
+    if not converged:
+        raise FitConvergenceError("CW correlation fit did not converge")
+    # Pseudo-inverse covariance (J^T J)^+ of the weighted Jacobian, without
+    # the singular values at rounding level: a histogram with no dip leaves
+    # the delays unidentified. The counts' sigmas are absolute, so it is not
+    # rescaled by the reduced chi-square.
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(jac.shape) * sv[0]
+    perr = np.sqrt(np.diag((vt[keep].T / sv[keep] ** 2) @ vt[keep]))
+    _, g2_zero, a, tau1, tau2 = popt.tolist()
+    model = G2Model(a=a, tau1_ns=tau1, tau2_ns=tau2, g2_zero=g2_zero, g2_zero_sigma=float(perr[1]))
     dof = max(tau.size - len(popt), 1)
     report = {
         "parameters": {name: float(v) for name, v in zip(names, popt)},

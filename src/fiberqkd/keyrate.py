@@ -500,45 +500,32 @@ def sent_multiphoton_probability(
 
 BUNDLED_TALLIES = ("tally-deployed-optimized", "tally-deployed-balanced", "tally-spool")
 
+# On-disk names of the tally fields: the key basis is z and the check basis x.
+_TALLY_NAMES = {"n_key": "n_z", "n_check": "n_x", "e_key": "e_z", "e_check": "e_x",
+                "p_key": "p_z", "p_check": "p_x", "p_det": "p_det", "p_multi": "p_m"}
+_SECURITY_NAMES = ("eps_sec", "eps_cor", "f")
+
 
 def load_key_analysis(source) -> tuple[KeyTally, SecurityParams, dict]:
     """Read a key-analysis JSON document (bundled name, path or dict).
 
-    The key basis is called z and the check basis x in the on-disk names. An
-    absent or null ``duration_s`` means no duration. Returns the tally, the
+    Fields go by their on-disk names, ``_TALLY_NAMES``. An absent or null
+    ``duration_s`` means no duration. Returns the tally, the
     security parameters and the raw document for access to optional metadata.
     """
     doc = read_document(source, BUNDLED_TALLIES, "tally")
-    tally = KeyTally(
-        n_key=doc.whole("n_z"),
-        n_check=doc.whole("n_x"),
-        e_key=doc.number("e_z"),
-        e_check=doc.number("e_x"),
-        p_key=doc.number("p_z"),
-        p_check=doc.number("p_x"),
-        p_det=doc.number("p_det"),
-        p_multi=doc.number("p_m"),
-        duration_s=None if doc.get("duration_s", None) is None else doc.number("duration_s"),
-    )
-    security = SecurityParams(**{key: doc.number(key) for key in ("eps_sec", "eps_cor", "f")})
+    fields = {name: (doc.whole if name.startswith("n_") else doc.number)(key)
+              for name, key in _TALLY_NAMES.items()}
+    duration = None if doc.get("duration_s", None) is None else doc.number("duration_s")
+    tally = KeyTally(**fields, duration_s=duration)
+    security = SecurityParams(**{key: doc.number(key) for key in _SECURITY_NAMES})
     return tally, security, doc.doc
 
 
 def key_analysis_document(tally: KeyTally, security: SecurityParams) -> dict:
     """Serializable key-analysis document matching :func:`load_key_analysis`."""
-    doc = {
-        "n_z": tally.n_key,
-        "n_x": tally.n_check,
-        "e_z": tally.e_key,
-        "e_x": tally.e_check,
-        "p_z": tally.p_key,
-        "p_x": tally.p_check,
-        "p_det": tally.p_det,
-        "p_m": tally.p_multi,
-        "eps_sec": security.eps_sec,
-        "eps_cor": security.eps_cor,
-        "f": security.f,
-    }
+    doc = {key: getattr(tally, name) for name, key in _TALLY_NAMES.items()}
+    doc.update((key, getattr(security, key)) for key in _SECURITY_NAMES)
     if tally.duration_s is not None:
         doc["duration_s"] = tally.duration_s
     return doc

@@ -363,8 +363,12 @@ def _with(value, *keys):
     _with("x", "receiver"),
     _with(None, "calibration"),
     _with(1e-300, "security", "eps_sec"),
+    _with({"l_c": 4.0, "reference_nm": 1309.5, "length_km": 3.5,
+           "segments": [{"axis": ["0", True, "0"], "dgd_ps": 0.117}]}, "channel"),
+    _with(["0", "1", False], "channel", "align_first_order_axis_to"),
 ], ids=["document-list", "nu_rep-text", "l_c-text", "pmd_param-text", "alice-null",
-        "receiver-text", "calibration-null", "eps_sec-underflow"])
+        "receiver-text", "calibration-null", "eps_sec-underflow", "segment-axis-text-and-bool",
+        "align-target-text-and-bool"])
 def test_exit_code_one_on_malformed_scenario(tmp_path, capsys, edit):
     """Every scenario section is an object and every number field a number."""
     path = tmp_path / "scenario.json"
@@ -604,8 +608,8 @@ def test_simulate_expected_block_matches_expected_rates(tmp_path, scenario):
 
 
 def test_keyrate_and_offline_sift_leave_scipy_optimize_unloaded():
-    """The optimizers load only in the commands that fit or solve: a one-shot
-    keyrate or offline sift does not pay for importing them."""
+    """The calibration is closed-form: a one-shot keyrate or offline sift
+    does not pay for importing the optimizers."""
     code = (
         "import sys\n"
         "from fiberqkd.cli import main\n"
@@ -621,8 +625,8 @@ def test_keyrate_and_offline_sift_leave_scipy_optimize_unloaded():
 
 
 def test_trajectory_fit_and_estimate_leave_scipy_optimize_unloaded(tmp_path):
-    """The arc fit is Gauss-Newton in numpy: one-shot ``pmd fit`` and
-    ``pmd estimate --trajectory`` do not pay for importing the optimizers."""
+    """The arc fit runs on the numpy solver in ``fiberqkd.fitting``: one-shot
+    ``pmd fit`` and ``pmd estimate --trajectory`` do not import the optimizers."""
     traj = tmp_path / "traj.csv"
     assert run_cli("pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
                    "--points", "48", "--out", str(traj)) == 0
@@ -640,8 +644,8 @@ def test_trajectory_fit_and_estimate_leave_scipy_optimize_unloaded(tmp_path):
 
 
 def test_cli_import_and_keyrate_leave_scipy_unloaded():
-    """scipy loads only where a command evaluates it: importing the command
-    line and a one-shot keyrate pay for none of it."""
+    """Importing the command line and a one-shot keyrate load no scipy
+    module, before the command runs or after it."""
     code = (
         "import sys\n"
         "from fiberqkd.cli import main\n"
@@ -655,6 +659,57 @@ def test_cli_import_and_keyrate_leave_scipy_unloaded():
     lines = done.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "[]"
+
+
+_RUN_EVERY_COMMAND = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+from fiberqkd.cli import main
+from fiberqkd.protocol import sift
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue()]))
+print(sift([(0, "DA", 0), (1, "LR", 1)], [(0, ("D",)), (1, ("R",))]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is the only run-time dependency: with scipy unimportable every
+    subcommand and the offline sift give the unblocked run's exit codes and
+    stdout, and the unblocked run loads no scipy module."""
+    traj, cw, pulsed = (str(tmp_path / name) for name in ("traj.csv", "cw.csv", "pulsed.csv"))
+    assert run_cli("pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
+                   "--points", "48", "--out", traj) == 0
+    write_cw_histogram(cw)
+    write_pulsed_histogram(pulsed)
+    commands = [["keyrate", "--tally", "tally-spool"],
+                ["pmd", "fit", "--trajectory", traj],
+                ["pmd", "estimate", "--trajectory", traj],
+                ["pmd", "estimate", "--central-angle-deg", "51.5", "--span-nm", "7.0",
+                 "--center-nm", "1310.0"],
+                ["g2", "fit-cw", "--histogram", cw],
+                ["g2", "pulsed", "--histogram", pulsed, "--period-ns", "12.5"]]
+    for scenario in ("deployed-3p5km", "spool-32p5km"):
+        commands += [["simulate", "--scenario", scenario, "--seed", "3", "--pulses", "1000000"],
+                     ["pmd", "sweep", "--scenario", scenario],
+                     ["optimize", "--scenario", scenario],
+                     ["rate-curve", "--scenario", scenario, "--points", "4"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(fiberqkd.__file__).resolve().parents[1])}
+    script = [sys.executable, "-c", _RUN_EVERY_COMMAND]
+    runs = {
+        mode: subprocess.run(script + [mode, json.dumps(commands)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        for mode in ("blocked", "unblocked")
+    }
+    results = [json.loads(line) for line in runs["unblocked"].splitlines()[:len(commands)]]
+    assert [(argv, code) for argv, code, _ in results] == [(argv, 0) for argv in commands]
+    assert all(out for _, _, out in results)
+    assert runs["unblocked"].splitlines()[-1] == "[]"
+    assert runs["blocked"].splitlines()[:-1] == runs["unblocked"].splitlines()[:-1]
 
 
 def test_exit_code_one_on_bad_flags(capsys):

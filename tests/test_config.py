@@ -1,6 +1,7 @@
 """Scenario files: loading, throughput calibration, planning summaries."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -60,24 +61,40 @@ def test_spool_scenario_calibration():
     assert model.sifted_bps == pytest.approx(257.16097849631984, rel=1e-9)
 
 
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_calibration_needs_no_misalignment_errors(name):
-    """The scale solved with zero errors is the one solved with the true ones."""
-    scn = load_scenario(name)
-    config = replace(scn.config, detection_scale=1.0)
-    model = expected_rates(config)
-    assert model.e_pol_da > 0.0 and model.e_pol_lr > 0.0
-    doc = json.loads(bundled_scenario_path(name).read_text())
-    target = doc["calibration"]["sifted_rate_target_bps"]
+def _brentq_scale(config, e_pol_da, e_pol_lr, target):
+    """The detection scale as it was solved before the closed form: a bracketed
+    root of the sifted-rate gap, here with the link's true misalignment errors."""
     device = config.device
     total_db = device.alice_loss_db + config.channel.loss_db + device.bob_loss_db
     scale_max = 1.0 / (10.0 ** (-total_db / 10.0) * device.detector_efficiency)
 
     def gap(scale):
-        m = config.rate_model(model.e_pol_da, model.e_pol_lr, detection_scale=scale)
+        m = config.rate_model(e_pol_da, e_pol_lr, detection_scale=scale)
         return m.sifted_bps - target
 
-    assert brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14) == scn.config.detection_scale
+    return brentq(gap, 1e-12, scale_max, xtol=1e-15, rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_calibration_needs_no_misalignment_errors(name):
+    """The closed-form scale, solved with zero errors, is within 4 ulp of the
+    root solved with the true ones, on the bundled link and across a grid of
+    targets and channel losses."""
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    model = expected_rates(replace(load_scenario(name).config, detection_scale=1.0))
+    assert model.e_pol_da > 0.0 and model.e_pol_lr > 0.0
+    measured = doc["calibration"]["sifted_rate_target_bps"]
+    for loss in (None, 0.0, 1.0, 4.0, 11.2, 20.0, 30.0):
+        for target in (measured, 0.3 * measured, 3.0 * measured):
+            grid_doc = json.loads(json.dumps(doc))
+            if loss is not None:
+                grid_doc["channel"]["l_c"] = loss
+            grid_doc["calibration"]["sifted_rate_target_bps"] = target
+            solved = load_scenario(grid_doc).config
+            oracle = _brentq_scale(replace(solved, detection_scale=1.0), model.e_pol_da,
+                                   model.e_pol_lr, target)
+            scale = solved.detection_scale
+            assert abs(scale - oracle) <= 4.0 * math.ulp(oracle), (loss, target)
 
 
 def test_sent_multiphoton_share():

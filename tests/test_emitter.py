@@ -1,15 +1,18 @@
 """Source models: spectra, photon-number statistics, correlation histograms."""
 
+import json
+
 import numpy as np
 import pytest
 
+import fiberqkd.emitter
+import fiberqkd.fitting
 from fiberqkd.cli import main as cli_main
 from fiberqkd.emitter import (
     EmitterSpectrum,
     G2Model,
     PhotonStatistics,
     _cw_counts,
-    _cw_counts_jacobian,
     fit_g2_cw,
     g2_of_delay,
     pulsed_g2,
@@ -159,18 +162,40 @@ def test_cw_fit_validation():
         fit_g2_cw(np.arange(5.0), np.ones(5))
     with pytest.raises(ValidationError):
         fit_g2_cw(np.arange(12.0), -np.ones(12))
-
-
-def test_cw_fit_maps_optimizer_failure(monkeypatch):
-    import scipy.optimize
-
-    def exploding(*args, **kwargs):
-        raise RuntimeError("Optimal parameters not found")
-
-    monkeypatch.setattr(scipy.optimize, "curve_fit", exploding)
     tau, counts, _ = make_cw_histogram()
-    with pytest.raises(FitConvergenceError):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            fit_g2_cw(np.where(tau == 0.0, bad, tau), counts)
+        with pytest.raises(ValidationError):
+            fit_g2_cw(tau, np.where(tau == 0.0, bad, counts))
+
+
+def test_cw_fit_maps_optimizer_failure(monkeypatch, tmp_path, capsys):
+    """A solve that runs out of steps is a fit failure: FitConvergenceError,
+    exit code 2."""
+    tau, counts, _ = make_cw_histogram()
+    monkeypatch.setattr(fiberqkd.fitting, "MAX_STEPS", 3)
+    with pytest.raises(FitConvergenceError, match="did not converge"):
         fit_g2_cw(tau, counts)
+    path = tmp_path / "histogram.csv"
+    path.write_text("tau_ns,counts\n" + "".join(f"{t},{c}\n" for t, c in zip(tau, counts)))
+    assert cli_main(["g2", "fit-cw", "--histogram", str(path)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_cw_fit_of_a_coherent_source(tmp_path, capsys):
+    """A histogram with no antibunching dip fits to a floor of one with a
+    finite sigma, although the delays and the shoulder are not identifiable."""
+    tau = np.linspace(-200.0, 200.0, 801)
+    counts = np.random.default_rng(5).poisson(900.0, tau.size).astype(float)
+    model, report = fit_g2_cw(tau, counts)
+    assert model.g2_zero == pytest.approx(1.0, abs=3.0 * model.g2_zero_sigma)
+    assert 0.0 < model.g2_zero_sigma < 0.05
+    assert 0.5 < report["reduced_chi2"] < 1.5
+    path = tmp_path / "coherent.csv"
+    path.write_text("tau_ns,counts\n" + "".join(f"{t},{c}\n" for t, c in zip(tau, counts)))
+    assert cli_main(["g2", "fit-cw", "--histogram", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["g2_zero"] == model.g2_zero
 
 
 def test_cw_jacobian_matches_central_differences():
@@ -179,40 +204,59 @@ def test_cw_jacobian_matches_central_differences():
     for _ in range(50):
         params = np.array([rng.uniform(10.0, 1e4), rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0),
                            rng.uniform(0.2, 10.0), rng.uniform(10.0, 200.0)])
-        jac = _cw_counts_jacobian(tau, *params)
+        jac = _cw_counts(tau, *params)[1]
         assert jac.shape == (tau.size, 5)
         for k in range(5):
             h = 1e-6 * max(abs(params[k]), 1.0)
             up, down = params.copy(), params.copy()
             up[k] += h
             down[k] -= h
-            central = (_cw_counts(tau, *up) - _cw_counts(tau, *down)) / (2.0 * h)
+            central = (_cw_counts(tau, *up)[0] - _cw_counts(tau, *down)[0]) / (2.0 * h)
             # Entries that vanish (the delay derivatives at tau = 0) are
             # compared on their column's scale.
             scale = np.max(np.abs(central)) + 1e-300
             assert np.allclose(jac[:, k], central, rtol=1e-6, atol=1e-6 * scale)
 
 
-def test_cw_fit_with_jacobian_matches_finite_difference_fit(monkeypatch):
-    import scipy.optimize
+def _curve_fit_oracle(tau, counts, monkeypatch):
+    """fit_g2_cw's start, box and Poisson weights handed to scipy's curve_fit,
+    as the fit was written before it had its own solver."""
+    from scipy.optimize import curve_fit
 
-    curve_fit = scipy.optimize.curve_fit
+    seen = {}
+    solve = fiberqkd.emitter.least_squares
 
-    def curve_fit_without_jacobian(*args, jac=None, **kwargs):
-        """curve_fit as fit_g2_cw called it before it passed the analytic Jacobian."""
-        assert jac is not None
-        return curve_fit(*args, **kwargs)
+    def recording(fun, x0, bounds):
+        seen.update(x0=x0, bounds=bounds)
+        return solve(fun, x0, bounds)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(fiberqkd.emitter, "least_squares", recording)
+        fit_g2_cw(tau, counts)
+    sigma = np.sqrt(np.maximum(counts, 1.0))
+    popt, pcov = curve_fit(lambda t, *p: _cw_counts(t, *p)[0], tau, counts, p0=seen["x0"],
+                           sigma=sigma, absolute_sigma=True, bounds=seen["bounds"],
+                           maxfev=20000, jac=lambda t, *p: _cw_counts(t, *p)[1])
+    chi2 = float(np.sum(((_cw_counts(tau, *popt)[0] - counts) / sigma) ** 2))
+    return popt[1], float(np.sqrt(pcov[1, 1])), chi2
+
+
+def test_cw_fit_matches_curve_fit(monkeypatch):
+    """The damped least-squares fit reaches curve_fit's minimum or a lower one,
+    with the same floor and sigma, also where a perfect source puts the floor
+    on its bound at zero."""
     rng = np.random.default_rng(17)
     histograms = [make_cw_histogram(seed=seed, baseline=float(rng.choice([900.0, 9000.0])),
                                     g2_zero=float(rng.uniform(0.15, 0.45)))
                   for seed in range(24)]
-    fits = [fit_g2_cw(tau, counts)[0] for tau, counts, _ in histograms]
-    monkeypatch.setattr(scipy.optimize, "curve_fit", curve_fit_without_jacobian)
-    for (tau, counts, _), fit in zip(histograms, fits):
-        oracle, _ = fit_g2_cw(tau, counts)
-        assert abs(fit.g2_zero - oracle.g2_zero) <= 1e-6
-        assert fit.g2_zero_sigma == pytest.approx(oracle.g2_zero_sigma, rel=1e-4)
+    histograms += [make_cw_histogram(seed=seed, baseline=baseline, g2_zero=0.0)
+                   for seed in range(24, 28) for baseline in (900.0, 9000.0)]
+    for tau, counts, _ in histograms:
+        fit, report = fit_g2_cw(tau, counts)
+        g2_zero, sigma, chi2 = _curve_fit_oracle(tau, counts, monkeypatch)
+        assert report["reduced_chi2"] * (tau.size - 5) <= chi2 * (1.0 + 1e-9)
+        assert abs(fit.g2_zero - g2_zero) <= 1e-5
+        assert fit.g2_zero_sigma == pytest.approx(sigma, rel=1e-4)
 
 
 def test_cw_fit_rejects_histogram_without_delay_spread(tmp_path, capsys):
