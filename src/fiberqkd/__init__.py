@@ -14,7 +14,6 @@ from .channel import (
     FiberChannel,
     FiberSegment,
     PmdVector,
-    TrajectoryPoint,
     align_first_order_axis,
     delta_omega,
     estimate_dgd,

@@ -198,12 +198,8 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     return replace(channel, segments=rotated)
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """Output Stokes vector observed at one probe wavelength."""
-
-    wavelength_nm: float
-    stokes: tuple[float, float, float]
+# The columns of a trajectory, in memory and in its CSV.
+TRAJECTORY_COLUMNS = ("wavelength_nm", "s1", "s2", "s3")
 
 
 def sweep_trajectory(
@@ -212,19 +208,19 @@ def sweep_trajectory(
     start_nm: float,
     stop_nm: float,
     n_points: int,
-) -> list[TrajectoryPoint]:
-    """Trace the channel output of one input state across a wavelength sweep."""
+) -> np.ndarray:
+    """Trace the channel output of one input state across a wavelength sweep.
+
+    Returns the (n_points, 4) trajectory: each row holds a wavelength and the
+    output Stokes vector there, in the order of ``TRAJECTORY_COLUMNS``.
+    """
     if n_points < 2:
         raise ValidationError("a sweep needs at least two points")
-    if not (0.0 < start_nm < stop_nm):
-        raise ValidationError("need 0 < start_nm < stop_nm")
+    if not (0.0 < start_nm < stop_nm < math.inf):
+        raise ValidationError("need 0 < start_nm < stop_nm < inf")
     lam = np.linspace(start_nm, stop_nm, n_points)
     s = require_unit(state, "state")
-    rows = apply_channel_rows(np.tile(s, (n_points, 1)), channel, lam)
-    return [
-        TrajectoryPoint(wavelength_nm=float(w), stokes=tuple(row))
-        for w, row in zip(lam, rows)
-    ]
+    return np.column_stack((lam, apply_channel_rows(np.tile(s, (n_points, 1)), channel, lam)))
 
 
 @dataclass(frozen=True)
@@ -288,19 +284,21 @@ def _refine_axis(pts: np.ndarray, seed_axis: np.ndarray, e1: np.ndarray, e2: np.
     return _rodrigues(_rodrigues(seed_axis, e1, t1), e2, t2)
 
 
-def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
-    """Fit a circle on the sphere to a swept trajectory.
+def fit_arc(trajectory) -> ArcFit:
+    """Fit a circle on the sphere to an (n, 4) trajectory with n >= 3.
 
     The axis is seeded by a least-squares plane through the points and then
     refined by minimizing the spread of their polar angles. Points must be
     ordered along the sweep with adjacent azimuth steps below half a turn,
     otherwise the unwrapped rotation angle is ambiguous.
     """
-    if len(points) < 3:
+    traj = np.asarray(trajectory, dtype=float)
+    if traj.ndim != 2 or traj.shape[1] != len(TRAJECTORY_COLUMNS):
+        raise ValidationError("a trajectory is an (n, 4) array of wavelength_nm, s1, s2, s3")
+    if len(traj) < 3:
         raise ValidationError("an arc fit needs at least three points")
-    pts = np.array([p.stokes for p in points], dtype=float)
-    lams = np.array([p.wavelength_nm for p in points], dtype=float)
-    if not (np.isfinite(pts).all() and np.isfinite(lams).all()):
+    lams, pts = traj[:, 0], traj[:, 1:]
+    if not np.isfinite(traj).all():
         raise ValidationError("trajectory points must be finite")
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
@@ -317,7 +315,7 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
             rotation_angle_rad=0.0,
             central_angle_rad=0.0,
             rms_residual_rad=0.0,
-            n_points=len(points),
+            n_points=len(traj),
             degenerate=True,
         )
 
@@ -350,7 +348,7 @@ def fit_arc(points: Sequence[TrajectoryPoint]) -> ArcFit:
         rotation_angle_rad=span,
         central_angle_rad=span * radius,
         rms_residual_rad=rms,
-        n_points=len(points),
+        n_points=len(traj),
         degenerate=radius < 1e-6,
     )
 
@@ -447,10 +445,6 @@ def read_float_csv(path, columns: Sequence[str], what: str) -> np.ndarray:
     raise ValidationError(f"malformed {what} CSV")
 
 
-def read_trajectory_csv(path) -> list[TrajectoryPoint]:
-    """Read a trajectory CSV as written by ``fiberqkd pmd sweep``."""
-    rows = read_float_csv(path, ("wavelength_nm", "s1", "s2", "s3"), "trajectory")
-    return [
-        TrajectoryPoint(wavelength_nm=lam, stokes=(s1, s2, s3))
-        for lam, s1, s2, s3 in rows.tolist()
-    ]
+def read_trajectory_csv(path) -> np.ndarray:
+    """The (n, 4) trajectory of a CSV as written by ``fiberqkd pmd sweep``."""
+    return read_float_csv(path, TRAJECTORY_COLUMNS, "trajectory")

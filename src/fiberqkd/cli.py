@@ -173,21 +173,18 @@ def cmd_pmd_sweep(args) -> int:
     spectrum = scenario.config.spectrum
     start = args.start if args.start is not None else spectrum.center_nm - 0.5 * spectrum.fwhm_nm
     stop = args.stop if args.stop is not None else spectrum.center_nm + 0.5 * spectrum.fwhm_nm
-    points = channel_mod.sweep_trajectory(
+    trajectory = channel_mod.sweep_trajectory(
         scenario.config.channel, stokes_of(args.state), start, stop, args.points
-    )
+    ).tolist()
     if args.format == "json":
         doc = {
             "scenario": scenario.name,
             "state": args.state,
-            "points": [
-                {"wavelength_nm": p.wavelength_nm, "stokes": list(p.stokes)} for p in points
-            ],
+            "points": [{"wavelength_nm": lam, "stokes": stokes} for lam, *stokes in trajectory],
         }
         _emit_json(doc, args.out)
     else:
-        rows = [[p.wavelength_nm, *p.stokes] for p in points]
-        _emit_text(_csv_text(["wavelength_nm", "s1", "s2", "s3"], rows), args.out)
+        _emit_text(_csv_text(list(channel_mod.TRAJECTORY_COLUMNS), trajectory), args.out)
     return 0
 
 
@@ -204,8 +201,7 @@ def _fit_document(fit: channel_mod.ArcFit) -> dict:
 
 
 def cmd_pmd_fit(args) -> int:
-    points = channel_mod.read_trajectory_csv(args.trajectory)
-    fit = channel_mod.fit_arc(points)
+    fit = channel_mod.fit_arc(channel_mod.read_trajectory_csv(args.trajectory))
     doc = _fit_document(fit)
     doc["trajectory"] = args.trajectory
     _emit_json(doc, args.out)
@@ -214,11 +210,11 @@ def cmd_pmd_fit(args) -> int:
 
 def cmd_pmd_estimate(args) -> int:
     if args.trajectory:
-        points = channel_mod.read_trajectory_csv(args.trajectory)
-        fit = channel_mod.fit_arc(points)
-        lams = [p.wavelength_nm for p in points]
-        span = max(lams) - min(lams)
-        center = 0.5 * (max(lams) + min(lams))
+        trajectory = channel_mod.read_trajectory_csv(args.trajectory)
+        fit = channel_mod.fit_arc(trajectory)
+        lo, hi = float(trajectory[:, 0].min()), float(trajectory[:, 0].max())
+        span = hi - lo
+        center = 0.5 * (hi + lo)
         if fit.degenerate:
             raise ValidationError(
                 "trajectory is degenerate (input on a principal state), no delay estimate"

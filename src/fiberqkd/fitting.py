@@ -37,9 +37,12 @@ def least_squares(fun, x0, bounds=None):
                 free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
                 held, rhs = hess * np.outer(free, free), rhs * free
             diagonal = hess.diagonal()
-            scale = np.diag(np.where(diagonal > 0.0, diagonal, 1.0))  # a zero column scaled by one
+            scale = np.where(diagonal > 0.0, diagonal, 1.0)  # a zero column scaled by one
             tol = 1e-12 * np.maximum(np.abs(x), 1.0)
-        step = np.linalg.solve(held + damping * scale, rhs)
+            damped = held.copy()  # held, with the damping on its diagonal
+            damped_diagonal = damped.reshape(-1)[:: x.size + 1]  # a view that writes damped
+        np.add(held.diagonal(), damping * scale, out=damped_diagonal)
+        step = np.linalg.solve(damped, rhs)
         trial = x + step
         if bounds is not None:
             trial = np.clip(trial, lower, upper)

@@ -179,6 +179,8 @@ class SessionConfig:
             )
         if not self.window_s > 0.0:
             raise ValidationError("window length must be positive")
+        if not math.isfinite(self.window_s * self.device.rep_rate_hz):
+            raise ValidationError("window must hold a finite number of pulses")
         # Fails early when losses, efficiency and scale are inconsistent.
         survival_probability(self.device, self.channel.loss_db, self.detection_scale)
 

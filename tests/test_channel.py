@@ -1,7 +1,5 @@
 """Fiber model: detuning, concatenated birefringence, arc fitting, DGD recovery."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,13 +217,13 @@ def test_align_first_order_axis_matches_scalar_rotations():
 
 def test_sweep_trajectory_shape_and_validation():
     ch = single_segment()
-    pts = sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 16)
-    assert len(pts) == 16
-    assert pts[0].wavelength_nm == 1306.5 and pts[-1].wavelength_nm == 1313.5
-    with pytest.raises(ValidationError):
-        sweep_trajectory(ch, stokes_of("D"), 1313.5, 1306.5, 16)
-    with pytest.raises(ValidationError):
-        sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 1)
+    traj = sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 16)
+    assert traj.shape == (16, 4) and traj.dtype == np.float64
+    assert traj[0, 0] == 1306.5 and traj[-1, 0] == 1313.5
+    for start, stop, n_points in ((1313.5, 1306.5, 16), (1306.5, 1313.5, 1), (0.0, 1313.5, 3),
+                                  (1306.5, np.inf, 3), (np.nan, 1313.5, 3)):
+        with pytest.raises(ValidationError):
+            sweep_trajectory(ch, stokes_of("D"), start, stop, n_points)
 
 
 def test_arc_fit_equatorial_anchor():
@@ -269,16 +267,13 @@ def test_arc_fit_multi_turn_unwrap():
 def test_arc_fit_handles_measurement_noise():
     rng = np.random.default_rng(21)
     ch = single_segment()
-    pts = sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 64)
-    noisy = []
-    for p in pts:
+    noisy = sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 64)
+    for s in noisy[:, 1:]:
         # ~0.3 degree angular jitter per point
         jitter = 0.005
         axis = random_unit(rng)
-        s = np.asarray(p.stokes)
-        s = s * np.cos(jitter) + np.cross(axis, s) * np.sin(jitter)
-        s = s / np.linalg.norm(s)
-        noisy.append(type(p)(wavelength_nm=p.wavelength_nm, stokes=tuple(s)))
+        s[:] = s * np.cos(jitter) + np.cross(axis, s) * np.sin(jitter)
+        s /= np.linalg.norm(s)
     fit = fit_arc(noisy)
     assert fit.rms_residual_rad > 0.0
     assert estimate_dgd(fit.central_angle_rad, 7.0, 1310.0) == pytest.approx(0.117, rel=0.05)
@@ -294,6 +289,14 @@ def test_arc_fit_degenerate_cases():
     assert fit.degenerate
     with pytest.raises(ValidationError):
         fit_arc(sweep_trajectory(ch, stokes_of("D"), 1306.5, 1313.5, 8)[:2])
+
+
+def test_arc_fit_takes_an_n_by_4_trajectory():
+    traj = sweep_trajectory(single_segment(), stokes_of("D"), 1306.5, 1313.5, 8)
+    for bad in (traj[:, 1:], traj.ravel(), traj[None], np.hstack((traj, traj[:, :1]))):
+        with pytest.raises(ValidationError):
+            fit_arc(bad)
+    assert fit_arc(traj.tolist()) == fit_arc(traj)
 
 
 def _random_sweeps(n_channels):
@@ -357,13 +360,12 @@ def _rough_sweeps(n):
     rng = np.random.default_rng(43)
     for seed in range(n):
         ch = synthesize_channel(rng.uniform(0.02, 1.0), 3.5, int(rng.integers(2, 25)), seed)
-        points = sweep_trajectory(ch, random_unit(rng), 1306.0, 1313.0,
-                                  int(rng.integers(3, 200)))
+        traj = sweep_trajectory(ch, random_unit(rng), 1306.0, 1313.0,
+                                int(rng.integers(3, 200)))
         if seed % 2:
-            points = [replace(p, stokes=tuple(rotate(p.stokes, random_unit(rng),
-                                                     0.01 * rng.standard_normal())))
-                      for p in points]
-        yield points
+            traj[:, 1:] = [rotate(s, random_unit(rng), 0.01 * rng.standard_normal())
+                           for s in traj[:, 1:]]
+        yield traj
 
 
 def test_gauss_newton_arc_fit_equals_least_squares_on_single_segments():
@@ -416,11 +418,11 @@ def test_arc_fit_invariant_under_rigid_rotation(seed, n_points, jitter, turn_axi
         probe = random_unit(rng)
     ch = single_segment(dgd_ps=float(10.0 ** rng.uniform(-2.0, np.log10(2.0))),
                         axis=tuple(axis), reference_nm=1309.5)
-    points = [replace(p, stokes=tuple(rotate(p.stokes, random_unit(rng),
-                                             jitter * rng.standard_normal())))
-              for p in sweep_trajectory(ch, probe, 1306.0, 1313.0, n_points)]
-    turned = [replace(p, stokes=tuple(rotate(p.stokes, turn_axis, turn_angle)))
-              for p in points]
+    points = sweep_trajectory(ch, probe, 1306.0, 1313.0, n_points)
+    points[:, 1:] = [rotate(s, random_unit(rng), jitter * rng.standard_normal())
+                     for s in points[:, 1:]]
+    turned = points.copy()
+    turned[:, 1:] = [rotate(s, turn_axis, turn_angle) for s in points[:, 1:]]
     fit, fit_turned = fit_arc(points), fit_arc(turned)
     assert fit_turned.degenerate == fit.degenerate
     assert fit_turned.rms_residual_rad == pytest.approx(fit.rms_residual_rad,
@@ -432,17 +434,17 @@ def test_arc_fit_invariant_under_rigid_rotation(seed, n_points, jitter, turn_axi
             assert getattr(fit_turned, name) == pytest.approx(getattr(fit, name), rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", [
-    {"stokes": (np.nan, 0.0, 1.0)},
-    {"stokes": (0.0, np.inf, 0.0)},
-    {"wavelength_nm": np.nan},
-    {"wavelength_nm": np.inf},
+@pytest.mark.parametrize("column, value", [
+    (1, np.nan),
+    (2, np.inf),
+    (0, np.nan),
+    (0, np.inf),
 ], ids=["stokes-nan", "stokes-inf", "wavelength-nan", "wavelength-inf"])
-def test_arc_fit_rejects_non_finite_points(bad):
-    points = sweep_trajectory(single_segment(), stokes_of("D"), 1306.5, 1313.5, 16)
-    points[5] = replace(points[5], **bad)
+def test_arc_fit_rejects_non_finite_points(column, value):
+    traj = sweep_trajectory(single_segment(), stokes_of("D"), 1306.5, 1313.5, 16)
+    traj[5, column] = value
     with pytest.raises(ValidationError):
-        fit_arc(points)
+        fit_arc(traj)
 
 
 def test_rotation_angle_and_estimate_are_inverses():
@@ -529,7 +531,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "wavelength_nm,s1,s2,s3"
     channel = load_scenario("deployed-3p5km").config.channel
     swept = sweep_trajectory(channel, stokes_of("L"), 1306.5, 1313.5, 12)
-    assert read_trajectory_csv(path) == swept
+    assert read_trajectory_csv(path).tolist() == swept.tolist()
 
 
 _HEADER = "wavelength_nm,s1,s2,s3\n"
@@ -559,10 +561,9 @@ def test_trajectory_csv_names_the_first_bad_row(tmp_path, text, message):
 def test_trajectory_csv_reads_crlf_blank_lines_and_spaces(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_bytes(b" wavelength_nm, s1 ,s2,s3\r\n1309.0, 0.0 ,1.0,0.0\r\n\r\n1310.0,0,0,1\r\n")
-    points = read_trajectory_csv(path)
-    assert [(p.wavelength_nm, p.stokes) for p in points] == [
-        (1309.0, (0.0, 1.0, 0.0)), (1310.0, (0.0, 0.0, 1.0))]
-    assert all(type(p.wavelength_nm) is float for p in points)
+    traj = read_trajectory_csv(path)
+    assert traj.dtype == np.float64
+    assert traj.tolist() == [[1309.0, 0.0, 1.0, 0.0], [1310.0, 0.0, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -224,6 +224,43 @@ def test_exit_code_one_on_negative_simulate_seed(capsys):
     assert "seed must be non-negative" in err
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--start", "1300", "--stop", "inf"],
+    ["--start", "nan", "--stop", "1310"],
+], ids=["stop-inf", "start-nan"])
+def test_exit_code_one_on_bad_sweep_bounds(capsys, bounds):
+    """A sweep runs over a finite positive band: no infinite wavelengths or NaN rows."""
+    code, out, err = _run_capturing(capsys, ["pmd", "sweep", "--scenario", "deployed-3p5km",
+                                             "--points", "3"] + bounds)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, doc_window, expected", [
+    ("inf", None, 1),
+    ("1e301", None, 1),
+    (None, 1e301, 1),
+    ("1e300", None, 0),
+], ids=["flag-inf", "flag-1e301", "scenario-1e301", "flag-1e300"])
+def test_exit_code_one_on_overflowing_window(tmp_path, capsys, flag, doc_window, expected):
+    """A window of more pulses than a float holds is an input error, not an
+    OverflowError when the window is counted in pulses."""
+    scenario = "deployed-3p5km"
+    if doc_window is not None:
+        doc = _deployed_doc()
+        doc["window_s"] = doc_window
+        scenario = str(tmp_path / "window.json")
+        Path(scenario).write_text(json.dumps(doc))
+    argv = ["simulate", "--scenario", scenario, "--seed", "1", "--pulses", "1000"]
+    if flag is not None:
+        argv += ["--window-s", flag]
+    code, out, err = _run_capturing(capsys, argv)
+    assert code == expected
+    if expected == 1:
+        assert out == ""
+        assert err.startswith("error:") and "finite number of pulses" in err
+
+
 def _deployed_doc():
     return json.loads(bundled_scenario_path("deployed-3p5km").read_text())
 
@@ -525,6 +562,48 @@ def test_exit_code_one_on_non_finite_trajectory(tmp_path, capsys, command, colum
     _set_csv_cell(traj, 6, column, value)
     assert run_cli("pmd", command, "--trajectory", str(traj)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _trajectory_mutations(header, rows):
+    """(label, exit code, lines) for each mutation of a trajectory CSV's lines."""
+    for r in (0, 5, len(rows) - 1):
+        cells = rows[r].split(",")
+        for c in range(len(cells)):
+            for value in ("", "x", "nan", "inf", "-inf", "1e400"):
+                mutated = cells[:c] + [value] + cells[c + 1:]
+                yield f"row {r} cell {c} {value!r}", 1, [header, *rows[:r], ",".join(mutated),
+                                                        *rows[r + 1:]]
+        yield f"row {r} dropped cell", 1, [header, *rows[:r], ",".join(cells[:-1]),
+                                           *rows[r + 1:]]
+        yield f"row {r} extra cell", 1, [header, *rows[:r], rows[r] + ",0.0", *rows[r + 1:]]
+        yield f"blank line before row {r}", 0, [header, *rows[:r], "", *rows[r:]]
+        yield f"header before row {r}", 1, [header, *rows[:r], header, *rows[r:]]
+    yield "single data row", 1, [header, rows[0]]
+
+
+def test_trajectory_csv_mutation_grid(tmp_path, capsys):
+    """Each cell of three rows of a swept trajectory replaced by an empty,
+    non-numeric, non-finite or overflowing field, a cell dropped or added, a
+    blank line, a repeated header and a lone data row: ``pmd fit`` and
+    ``pmd estimate`` give the unmutated result or an input error with empty
+    stdout, never an unexpected failure."""
+    traj = tmp_path / "traj.csv"
+    assert run_cli("pmd", "sweep", "--scenario", "deployed-3p5km", "--state", "L",
+                   "--points", "32", "--out", str(traj)) == 0
+    header, *rows = traj.read_text().splitlines()
+    commands = [["pmd", "fit", "--trajectory", str(traj)],
+                ["pmd", "estimate", "--trajectory", str(traj)]]
+    clean = [_run_capturing(capsys, argv) for argv in commands]
+    assert [code for code, _, _ in clean] == [0, 0]
+    failures = []
+    for label, expected, lines in _trajectory_mutations(header, rows):
+        traj.write_text("\n".join(lines) + "\n")
+        for argv, (_, clean_out, _) in zip(commands, clean):
+            code, out, err = _run_capturing(capsys, argv)
+            ok = (code, out) == ((0, clean_out) if expected == 0 else (1, ""))
+            if not ok or (code == 1 and not err.startswith("error:")):
+                failures.append((argv[1], label, code, err))
+    assert failures == []
 
 
 @pytest.mark.parametrize("column, value", [

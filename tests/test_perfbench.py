@@ -1,0 +1,56 @@
+"""The benchmark's traced run still finds, and fires, every entry point it wraps."""
+
+import importlib.util
+import os
+from pathlib import Path
+from unittest import mock
+
+from fiberqkd.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """A perfbench script as a module, without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the worker pins thread counts when imported
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_session_and_pmd_calls_fire_every_predicted_span(tmp_path, capsys):
+    """The session-sparse call and one pmd sweep, fit and estimate, each run
+    under the benchmark's tracer: every span the worker predicts for
+    session-sparse, and the sweep and arc-fit spans, record a non-zero value."""
+    tracing, worker = _load("tracing"), _load("worker")
+    tracer = tracing.Tracer()  # raises when a wrapped entry point is gone
+    traj = str(tmp_path / "traj.csv")
+    # A call draws about three events that a dark count starts; seed 2 draws
+    # five, where one seed in twenty (seed 1 among them) draws none and
+    # leaves emitter.sample_photon_number.rows at zero.
+    argvs = [
+        ["simulate", "--scenario", "deployed-3p5km", "--seed", "2", "--pulses", "10000000",
+         "--window-s", "0.0125"],
+        ["pmd", "sweep", "--scenario", "deployed-3p5km", "--points", "64", "--out", traj],
+        ["pmd", "fit", "--trajectory", traj],
+        ["pmd", "estimate", "--trajectory", traj],
+    ]
+    tracer.install()
+    try:
+        codes = [main(argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0]
+    per_span, _ = tracer.summary()
+    predicted = {
+        (span, field)
+        for span, field, _, workloads in worker.LAYERS
+        if "session-sparse" in workloads
+        or span in ("channel.sweep_trajectory", "channel.fit_arc")
+    }
+    assert ("channel.fit_arc", "calls") in predicted
+    silent = sorted(f"{span}.{field}" for span, field in predicted
+                    if not per_span.get(span, {}).get(field, 0) > 0)
+    assert silent == []
