@@ -13,10 +13,8 @@ Wavelengths are in nm, delay in ps, so detunings come out in rad/ps.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -406,45 +404,3 @@ def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
         values[i] = np.clip(np.trapezoid(weights * err, lam) / total, 0.0, 1.0)
     return float(values[0]) if arr.ndim == 1 else values
 
-
-def _parse_float_rows(lines: list[str]) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-
-
-def read_float_csv(path, columns: Sequence[str], what: str) -> np.ndarray:
-    """The data rows of a CSV of floats under a fixed header, as an (n, k) array.
-
-    All rows are parsed in one ``np.loadtxt`` pass; blank lines are skipped.
-    A wrong header, a row of another width, a field that is not a number or
-    not finite, and a file without data rows raise ``ValidationError``. The
-    message names the first bad row, which is looked for row by row only
-    when the one pass fails.
-    """
-    with open(path, newline="") as handle:
-        header = next(csv.reader([handle.readline()]), [])
-        lines = [line for line in handle.read().splitlines() if line]
-    if [h.strip() for h in header] != list(columns):
-        raise ValidationError(f"{what} CSV must start with {','.join(columns)}")
-    if not lines:
-        raise ValidationError(f"{what} CSV contains no data rows")
-    try:
-        data = _parse_float_rows(lines)
-    except ValueError:
-        data = None
-    if data is not None and data.shape[1] == len(columns) and np.isfinite(data).all():
-        return data
-    for line, row in zip(lines, csv.reader(lines)):
-        if len(row) != len(columns):
-            raise ValidationError(f"malformed {what} row: {row!r}")
-        try:
-            values = _parse_float_rows([line])
-        except ValueError as exc:
-            raise ValidationError(f"non-numeric {what} row: {row!r}") from exc
-        if not np.isfinite(values).all():
-            raise ValidationError(f"non-finite {what} row: {row!r}")
-    raise ValidationError(f"malformed {what} CSV")
-
-
-def read_trajectory_csv(path) -> np.ndarray:
-    """The (n, 4) trajectory of a CSV as written by ``fiberqkd pmd sweep``."""
-    return read_float_csv(path, TRAJECTORY_COLUMNS, "trajectory")

@@ -20,9 +20,7 @@ keys are sorted. Invalid inputs exit with code 1, runtime failures with 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -32,6 +30,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from .config import BUNDLED_SCENARIOS, load_scenario, planning_inputs
+from .documents import PATTERN_FORMATS, csv_text, read_float_table, read_pattern
 from .emitter import fit_g2_cw, pulsed_g2
 from .errors import FitConvergenceError, ValidationError
 from .keyrate import (
@@ -81,26 +80,11 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
     _emit_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
-
-
-def _read_histogram(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = channel_mod.read_float_csv(path, ("tau_ns", "counts"), "histogram")
-    tau, counts = np.ascontiguousarray(rows.T)
-    return tau, counts
-
-
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = scenario.config
     if args.pattern is not None:
-        pattern = PatternSource.from_file(args.pattern, args.pattern_format)
+        pattern = PatternSource(read_pattern(args.pattern, args.pattern_format))
         config = replace(config, alice=replace(config.alice, pattern=pattern))
     if args.window_s is not None:
         config = replace(config, window_s=args.window_s)
@@ -142,7 +126,7 @@ def cmd_simulate(args) -> int:
     _emit_json(doc, args.out)
     if args.timeseries:
         rows = [[w.index, float(w.qber), float(w.sifted_bps)] for w in result.windows]
-        _emit_text(_csv_text(["window_index", "qber", "sifted_bps"], rows), args.timeseries)
+        _emit_text(csv_text(["window_index", "qber", "sifted_bps"], rows), args.timeseries)
     return 0
 
 
@@ -184,7 +168,7 @@ def cmd_pmd_sweep(args) -> int:
         }
         _emit_json(doc, args.out)
     else:
-        _emit_text(_csv_text(list(channel_mod.TRAJECTORY_COLUMNS), trajectory), args.out)
+        _emit_text(csv_text(channel_mod.TRAJECTORY_COLUMNS, trajectory), args.out)
     return 0
 
 
@@ -201,7 +185,8 @@ def _fit_document(fit: channel_mod.ArcFit) -> dict:
 
 
 def cmd_pmd_fit(args) -> int:
-    fit = channel_mod.fit_arc(channel_mod.read_trajectory_csv(args.trajectory))
+    trajectory = read_float_table(args.trajectory, channel_mod.TRAJECTORY_COLUMNS, "trajectory")
+    fit = channel_mod.fit_arc(trajectory)
     doc = _fit_document(fit)
     doc["trajectory"] = args.trajectory
     _emit_json(doc, args.out)
@@ -210,7 +195,7 @@ def cmd_pmd_fit(args) -> int:
 
 def cmd_pmd_estimate(args) -> int:
     if args.trajectory:
-        trajectory = channel_mod.read_trajectory_csv(args.trajectory)
+        trajectory = read_float_table(args.trajectory, channel_mod.TRAJECTORY_COLUMNS, "trajectory")
         fit = channel_mod.fit_arc(trajectory)
         lo, hi = float(trajectory[:, 0].min()), float(trajectory[:, 0].max())
         span = hi - lo
@@ -245,7 +230,7 @@ def cmd_pmd_estimate(args) -> int:
 
 
 def cmd_g2_fit_cw(args) -> int:
-    tau, counts = _read_histogram(args.histogram)
+    tau, counts = read_float_table(args.histogram, ("tau_ns", "counts"), "histogram").T
     model, report = fit_g2_cw(tau, counts)
     doc = dict(report)
     doc["histogram"] = args.histogram
@@ -255,7 +240,7 @@ def cmd_g2_fit_cw(args) -> int:
 
 
 def cmd_g2_pulsed(args) -> int:
-    tau, counts = _read_histogram(args.histogram)
+    tau, counts = read_float_table(args.histogram, ("tau_ns", "counts"), "histogram").T
     value, sigma, report = pulsed_g2(tau, counts, args.period_ns, args.window_ns)
     doc = dict(report)
     doc["histogram"] = args.histogram
@@ -328,7 +313,7 @@ def cmd_rate_curve(args) -> int:
         _emit_json({"scenario": scenario.name, "duration_s": duration, "rows": rows}, args.out)
     else:
         table = [[r["loss_db"], r["finite_bps"], r["gllp_bps"]] for r in rows]
-        _emit_text(_csv_text(["loss_db", "finite_bps", "gllp_bps"], table), args.out)
+        _emit_text(csv_text(["loss_db", "finite_bps", "gllp_bps"], table), args.out)
     return 0
 
 
@@ -349,7 +334,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--pulses", type=int, default=10_000_000)
     sim.add_argument("--window-s", type=float, default=None, help="override windowing period")
     sim.add_argument("--pattern", default=None, help="modulation pattern file, two bits per pulse")
-    sim.add_argument("--pattern-format", choices=("auto", "hex", "binary"), default="auto")
+    sim.add_argument("--pattern-format", choices=PATTERN_FORMATS, default="auto")
     sim.add_argument("--timeseries", default=None, help="write windowed QBER/rate CSV here")
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
@@ -421,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:  # OSError: writing --out or --timeseries
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FitConvergenceError as exc:

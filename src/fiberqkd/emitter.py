@@ -179,6 +179,25 @@ def g2_of_delay(tau_ns, model: G2Model) -> np.ndarray:
     return 1.0 - (1.0 - model.g2_zero) * shape
 
 
+_MAX_WHOLE = 2.0**53  # every whole number up to it is exact in a float
+
+
+def _histogram(tau_ns, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Delays and counts as float arrays, checked to be 1-d, of equal length
+    and finite, with counts in [0, 2**53]."""
+    tau = np.asarray(tau_ns, dtype=float)
+    cts = np.asarray(counts, dtype=float)
+    if tau.shape != cts.shape or tau.ndim != 1:
+        raise ValidationError("delay and count arrays must be 1-d and equal length")
+    if not (np.isfinite(tau).all() and np.isfinite(cts).all()):
+        raise ValidationError("delays and counts must be finite")
+    if np.any(cts < 0.0):
+        raise ValidationError("counts must be non-negative")
+    if np.any(cts > _MAX_WHOLE):
+        raise ValidationError("counts must be at most 2**53")
+    return tau, cts
+
+
 def _cw_counts(t, amplitude, g2_zero, a, tau1, tau2):
     """Expected coincidences of the CW fit, ``amplitude`` times the model, and
     their analytic (n, 5) Jacobian in the parameter order.
@@ -208,20 +227,18 @@ def fit_g2_cw(tau_ns, counts) -> tuple[G2Model, dict]:
     fitted model plus a report with parameters, one-sigma errors and the
     reduced chi-square. Raises FitConvergenceError when the optimizer fails.
     """
-    tau = np.asarray(tau_ns, dtype=float)
-    cts = np.asarray(counts, dtype=float)
-    if tau.shape != cts.shape or tau.ndim != 1:
-        raise ValidationError("delay and count arrays must be 1-d and equal length")
+    tau, cts = _histogram(tau_ns, counts)
     if tau.size < 10:
         raise ValidationError("need at least 10 histogram bins for a 5-parameter fit")
-    if not (np.isfinite(tau).all() and np.isfinite(cts).all()):
-        raise ValidationError("delays and counts must be finite")
-    if np.any(cts < 0.0):
-        raise ValidationError("counts must be non-negative")
-
+    if not cts.any():
+        raise ValidationError("histogram has no counts")
     span = float(np.max(np.abs(tau)))
     if span == 0.0:
         raise ValidationError("delays must not all be zero")
+    # The timescales range over span * [1e-6, 100] and the Jacobian divides
+    # by their squares, which must stay finite normal floats.
+    if not 1e-100 <= span <= 1e100:
+        raise ValidationError(f"largest |delay| must lie in [1e-100, 1e100] ns, got {span!r}")
     outer = np.abs(tau) > 0.8 * span
     baseline = float(np.median(cts[outer])) if np.any(outer) else float(np.median(cts))
     baseline = max(baseline, 1.0)
@@ -276,18 +293,16 @@ def pulsed_g2(
     peak area; its sigma propagates Poisson errors of both sums. At least
     five side peaks on each side are required.
     """
-    tau = np.asarray(tau_ns, dtype=float)
-    cts = np.asarray(counts, dtype=float)
-    if tau.shape != cts.shape or tau.ndim != 1:
-        raise ValidationError("delay and count arrays must be 1-d and equal length")
-    if rep_period_ns <= 0.0:
-        raise ValidationError("repetition period must be positive")
+    tau, cts = _histogram(tau_ns, counts)
+    if not 0.0 < rep_period_ns < math.inf:
+        raise ValidationError("repetition period must be positive and finite")
     if window_ns is None:
         window_ns = 0.5 * rep_period_ns
     if not 0.0 < window_ns <= rep_period_ns:
         raise ValidationError("window must lie in (0, rep_period]")
-    if np.any(cts < 0.0):
-        raise ValidationError("counts must be non-negative")
+    # Peak indices are whole numbers, exact in a float below 2**53.
+    if not (np.abs(tau) < _MAX_WHOLE * rep_period_ns).all():
+        raise ValidationError("every delay must lie within 2**53 repetition periods of zero")
 
     peak_index = np.round(tau / rep_period_ns).astype(int)
     offset = tau - peak_index * rep_period_ns

@@ -42,7 +42,11 @@ def least_squares(fun, x0, bounds=None):
             damped = held.copy()  # held, with the damping on its diagonal
             damped_diagonal = damped.reshape(-1)[:: x.size + 1]  # a view that writes damped
         np.add(held.diagonal(), damping * scale, out=damped_diagonal)
-        step = np.linalg.solve(damped, rhs)
+        try:
+            step = np.linalg.solve(damped, rhs)
+        except np.linalg.LinAlgError:  # damping lost to underflow: refuse, as below
+            damping, growth, moved = growth * damping, 2.0 * growth, False
+            continue
         trial = x + step
         if bounds is not None:
             trial = np.clip(trial, lower, upper)

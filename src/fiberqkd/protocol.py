@@ -83,7 +83,8 @@ def survival_probability(
 
 
 class PatternSource:
-    """Pre-recorded modulation pattern, two bits per pulse.
+    """Pre-recorded modulation pattern, two bits per pulse, built from its bytes
+    (``documents.read_pattern`` reads them from a file).
 
     Within each byte, pairs are consumed most-significant bits first; the
     first bit of a pair selects the basis (0 for DA, 1 for LR) and the second
@@ -95,26 +96,6 @@ class PatternSource:
             raise ValidationError("pattern is empty")
         self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         self._cursor = 0
-
-    @classmethod
-    def from_hex(cls, text: str) -> "PatternSource":
-        cleaned = "".join(text.split())
-        try:
-            return cls(bytes.fromhex(cleaned))
-        except ValueError as exc:
-            raise ValidationError(f"invalid hex pattern: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path, fmt: str = "auto") -> "PatternSource":
-        if fmt not in ("auto", "hex", "binary"):
-            raise ValidationError(f"unknown pattern format {fmt!r}")
-        if fmt == "auto":
-            fmt = "binary" if str(path).endswith(".bin") else "hex"
-        if fmt == "binary":
-            with open(path, "rb") as handle:
-                return cls(handle.read())
-        with open(path) as handle:
-            return cls.from_hex(handle.read())
 
     @property
     def remaining_pairs(self) -> int:

@@ -9,6 +9,7 @@ import fiberqkd.channel
 from fiberqkd.channel import (
     _BLOCK_ROWS,
     SPEED_OF_LIGHT_NM_PER_PS,
+    TRAJECTORY_COLUMNS,
     FiberChannel,
     FiberSegment,
     PmdVector,
@@ -20,12 +21,12 @@ from fiberqkd.channel import (
     first_order_pmd,
     fit_arc,
     qber_from_pmd,
-    read_trajectory_csv,
     sweep_trajectory,
     synthesize_channel,
 )
 from fiberqkd.cli import main as cli_main
 from fiberqkd.config import load_scenario
+from fiberqkd.documents import read_float_table
 from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import (
@@ -531,7 +532,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "wavelength_nm,s1,s2,s3"
     channel = load_scenario("deployed-3p5km").config.channel
     swept = sweep_trajectory(channel, stokes_of("L"), 1306.5, 1313.5, 12)
-    assert read_trajectory_csv(path).tolist() == swept.tolist()
+    assert read_float_table(path, TRAJECTORY_COLUMNS, "trajectory").tolist() == swept.tolist()
 
 
 _HEADER = "wavelength_nm,s1,s2,s3\n"
@@ -554,14 +555,14 @@ def test_trajectory_csv_names_the_first_bad_row(tmp_path, text, message):
     path = tmp_path / "traj.csv"
     path.write_text(text)
     with pytest.raises(ValidationError) as err:
-        read_trajectory_csv(path)
+        read_float_table(path, TRAJECTORY_COLUMNS, "trajectory")
     assert str(err.value) == message
 
 
 def test_trajectory_csv_reads_crlf_blank_lines_and_spaces(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_bytes(b" wavelength_nm, s1 ,s2,s3\r\n1309.0, 0.0 ,1.0,0.0\r\n\r\n1310.0,0,0,1\r\n")
-    traj = read_trajectory_csv(path)
+    traj = read_float_table(path, TRAJECTORY_COLUMNS, "trajectory")
     assert traj.dtype == np.float64
     assert traj.tolist() == [[1309.0, 0.0, 1.0, 0.0], [1310.0, 0.0, 0.0, 1.0]]
 
@@ -574,4 +575,4 @@ def test_trajectory_csv_rejects_non_finite_fields(tmp_path, column, value):
     row[column] = value
     path.write_text("wavelength_nm,s1,s2,s3\n1309.0,0.0,1.0,0.0\n" + ",".join(row) + "\n")
     with pytest.raises(ValidationError, match="non-finite trajectory row"):
-        read_trajectory_csv(path)
+        read_float_table(path, TRAJECTORY_COLUMNS, "trajectory")

@@ -624,6 +624,128 @@ def test_exit_code_one_on_non_finite_histogram(tmp_path, capsys, command, write,
     assert "error:" in capsys.readouterr().err
 
 
+def _histogram_mutations(header, rows):
+    """(label, lines) for each mutation of a histogram CSV's lines."""
+    for r in (0, len(rows) // 2, len(rows) - 1):
+        cells = rows[r].split(",")
+        for c in range(len(cells)):
+            for value in ("", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0", "1e-300",
+                          "1e308"):
+                mutated = cells[:c] + [value] + cells[c + 1:]
+                yield f"row {r} cell {c} {value!r}", [header, *rows[:r], ",".join(mutated),
+                                                      *rows[r + 1:]]
+        yield f"row {r} dropped cell", [header, *rows[:r], cells[0], *rows[r + 1:]]
+        yield f"row {r} extra cell", [header, *rows[:r], rows[r] + ",0", *rows[r + 1:]]
+        yield f"blank line before row {r}", [header, *rows[:r], "", *rows[r:]]
+        yield f"header before row {r}", [header, *rows[:r], header, *rows[r:]]
+    tau = [row.split(",")[0] for row in rows]
+    yield "every count 0", [header, *(f"{t},0" for t in tau)]
+    for factor in (1e-300, 1e300):
+        yield f"delays x{factor}", [header, *(f"{float(t) * factor!r},{row.split(',')[1]}"
+                                              for t, row in zip(tau, rows))]
+
+
+_NOT_CONVERGED = "failure: CW correlation fit did not converge\n"
+
+
+@pytest.mark.parametrize("command, write, extra", [
+    ("fit-cw", write_cw_histogram, []),
+    ("pulsed", write_pulsed_histogram, ["--period-ns", "12.5"]),
+], ids=["fit-cw", "pulsed"])
+def test_histogram_csv_mutation_grid(tmp_path, capsys, command, write, extra):
+    """Each cell of three rows of a histogram replaced by an empty,
+    non-numeric, non-finite, overflowing, negative, zero or extreme field, a
+    cell dropped or added, a blank line, a repeated header, every count zero
+    and the delays scaled by 1e-300 and 1e300: a result, an input error with
+    empty stdout or, for a CW histogram that passed its input checks, the
+    fit's documented non-convergence; never an unexpected failure. Under
+    ``filterwarnings = error`` a numpy RuntimeWarning is one."""
+    hist = tmp_path / "hist.csv"
+    write(hist)
+    header, *rows = hist.read_text().splitlines()
+    argv = ["g2", command, "--histogram", str(hist), *extra]
+    clean_code, clean_out, _ = _run_capturing(capsys, argv)
+    assert clean_code == 0
+    failures = []
+    for label, lines in _histogram_mutations(header, rows):
+        hist.write_text("\n".join(lines) + "\n")
+        code, out, err = _run_capturing(capsys, argv)
+        ok = (code == 0 or (code, out) == (1, "") and err.startswith("error:")
+              or command == "fit-cw" and (code, out, err) == (2, "", _NOT_CONVERGED))
+        if not ok or label.startswith("blank") and (code, out) != (0, clean_out):
+            failures.append((label, code, err))
+    assert failures == []
+
+
+@pytest.mark.parametrize("period", ["1e-300", "nan", "inf"])
+def test_exit_code_one_on_bad_pulse_period(tmp_path, capsys, period):
+    hist = tmp_path / "pulsed.csv"
+    write_pulsed_histogram(hist)
+    code, out, err = _run_capturing(capsys, ["g2", "pulsed", "--histogram", str(hist),
+                                             "--period-ns", period])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exit_code_one_on_an_empty_cw_histogram(tmp_path, capsys):
+    """An all-zero histogram is an input error at any bin count; the fit never sees it."""
+    hist = tmp_path / "cw.csv"
+    for n_bins in (21, 101, 801):
+        tau = np.linspace(-10.0, 10.0, n_bins)
+        hist.write_text("tau_ns,counts\n" + "".join(f"{t!r},0\n" for t in tau.tolist()))
+        code, out, err = _run_capturing(capsys, ["g2", "fit-cw", "--histogram", str(hist)])
+        assert (code, out, err) == (1, "", "error: histogram has no counts\n")
+
+
+_PATTERNS = {
+    "empty.hex": b"",
+    "blank.hex": b" \n\t \n",
+    "odd.hex": b"ABC",
+    "word.hex": b"FFXZ",
+    "latin1.hex": b"FF\xe9",
+    "bytes.bin": bytes(range(256)),
+    "one.bin": b"\xb1",
+    "short.hex": b"FF00 AA55\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["auto", "hex", "binary"])
+@pytest.mark.parametrize("name", list(_PATTERNS))
+def test_pattern_input_grid(tmp_path, capsys, name, fmt):
+    """Empty, blank, odd, non-hex, non-UTF-8 and raw-byte patterns in each
+    format: a session or an input error with empty stdout, never an
+    unexpected failure. A pattern shorter than the request truncates it."""
+    path = tmp_path / name
+    path.write_bytes(_PATTERNS[name])
+    code, out, err = _run_capturing(capsys, [
+        "simulate", "--scenario", "deployed-3p5km", "--seed", "1", "--pulses", "100000",
+        "--pattern", str(path), "--pattern-format", fmt])
+    if code == 0:
+        assert json.loads(out)["truncated"]
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+    as_binary = fmt == "binary" or fmt == "auto" and name.endswith(".bin")
+    readable = _PATTERNS[name] != b"" if as_binary else name == "short.hex"
+    assert code == (0 if readable else 1)
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("trajectory", ["pmd", "fit", "--trajectory"]),
+    ("histogram", ["g2", "fit-cw", "--histogram"]),
+    ("pattern", ["simulate", "--scenario", "deployed-3p5km", "--seed", "1", "--pulses", "1000",
+                 "--pattern"]),
+], ids=["trajectory", "histogram", "pattern"])
+@pytest.mark.parametrize("problem", ["missing", "directory", "non-utf8"])
+def test_unreadable_input_file_names_its_kind(tmp_path, capsys, kind, flag, problem):
+    path = tmp_path / "input.txt"
+    if problem != "missing":
+        path = Path(_unreadable(tmp_path, problem))
+    code, out, err = _run_capturing(capsys, flag + [str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {kind} file '{path}': ")
+
+
 @pytest.fixture
 def quadrature_calls(monkeypatch):
     """Count qber_from_pmd calls through every fiberqkd namespace that holds it."""

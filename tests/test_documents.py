@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fiberqkd.documents import Fields, read_document
+from fiberqkd.documents import Fields, csv_text, read_document, read_float_table, read_pattern
 from fiberqkd.errors import ValidationError
 
 DOC = {"device": {"nu_rep": 80000000.0, "n": 3, "big": 2**60 + 1, "name": "link"}}
@@ -74,3 +74,38 @@ def test_read_document_rejects_unreadable_input(tmp_path, content, message):
 def test_read_document_rejects_a_directory(tmp_path):
     with pytest.raises(ValidationError, match="cannot read scenario file"):
         read_document(tmp_path, (), "scenario")
+
+
+def test_csv_text_writes_floats_read_back_exactly(tmp_path):
+    rows = [[0.1, 1 / 3, 2], [1e-300, -0.0, 7]]
+    path = tmp_path / "table.csv"
+    path.write_text(csv_text(["a", "b", "c"], rows))
+    assert path.read_text().splitlines() == ["a,b,c", "0.1,0.3333333333333333,2",
+                                             "1e-300,-0.0,7"]
+    assert read_float_table(path, ("a", "b", "c"), "table").tolist() == rows
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ABC", "hex pattern has an odd number of digits (3)"),
+    ("AB C\nD E", "hex pattern has an odd number of digits (5)"),
+    ("FFXZ", "invalid hex pattern: non-hexadecimal number found in fromhex() arg at position 2"),
+], ids=["odd", "odd-across-lines", "non-hex"])
+def test_read_pattern_rejects_malformed_hex(tmp_path, text, message):
+    path = tmp_path / "pattern.hex"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        read_pattern(path)
+    assert str(err.value) == message
+
+
+def test_read_pattern_formats(tmp_path):
+    """``auto`` reads a ``.bin`` file as raw bytes and any other as hex text."""
+    hex_path, bin_path = tmp_path / "pattern.txt", tmp_path / "pattern.bin"
+    hex_path.write_text(" b1\n0F ")
+    bin_path.write_bytes(b"\x80b1")
+    assert read_pattern(hex_path) == read_pattern(hex_path, "hex") == b"\xb1\x0f"
+    assert read_pattern(hex_path, "binary") == b" b1\n0F "
+    assert read_pattern(bin_path) == read_pattern(bin_path, "binary") == b"\x80b1"
+    with pytest.raises(ValidationError, match="cannot read pattern file .*'utf-8' codec"):
+        read_pattern(bin_path, "hex")
+

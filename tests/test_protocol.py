@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from fiberqkd.channel import FiberChannel, FiberSegment, apply_channel_rows
+from fiberqkd.documents import read_pattern
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
 from fiberqkd.errors import PatternExhaustedError, ValidationError
 from fiberqkd.polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_of
@@ -53,9 +54,11 @@ def ideal_config(**overrides):
 # ------------------------------------------------------------- pattern I/O
 
 
-def test_pattern_from_hex_bit_order():
+def test_pattern_from_hex_bit_order(tmp_path):
     # 0xB1 = 10110001: pairs (1,0) (1,1) (0,0) (0,1), basis bit first
-    pat = PatternSource.from_hex("B1")
+    path = tmp_path / "pattern.hex"
+    path.write_text("B1")
+    pat = PatternSource(read_pattern(path))
     assert pat.remaining_pairs == 4
     pairs = pat.take_pairs(4)
     assert pairs[:, 0].tolist() == [1, 1, 0, 0]
@@ -63,7 +66,7 @@ def test_pattern_from_hex_bit_order():
 
 
 def test_pattern_take_and_exhaustion():
-    pat = PatternSource.from_hex("FF 00")
+    pat = PatternSource(bytes([0xFF, 0x00]))
     assert pat.take_pairs(5).shape == (5, 2)
     assert pat.remaining_pairs == 3
     pat.take_pairs(3)
@@ -72,22 +75,20 @@ def test_pattern_take_and_exhaustion():
     with pytest.raises(ValidationError):
         pat.take_pairs(-1)
     with pytest.raises(ValidationError):
-        PatternSource.from_hex("XYZ")
-    with pytest.raises(ValidationError):
         PatternSource(b"")
 
 
 def test_pattern_from_file_formats(tmp_path):
     hex_path = tmp_path / "pattern.txt"
     hex_path.write_text("b1\nb1\n")
-    pat = PatternSource.from_file(hex_path)
+    pat = PatternSource(read_pattern(hex_path))
     assert pat.remaining_pairs == 8
     bin_path = tmp_path / "pattern.bin"
     bin_path.write_bytes(bytes([0xB1]))
-    pat = PatternSource.from_file(bin_path)  # suffix selects binary mode
+    pat = PatternSource(read_pattern(bin_path))  # suffix selects binary mode
     assert pat.take_pairs(4)[:, 0].tolist() == [1, 1, 0, 0]
     with pytest.raises(ValidationError):
-        PatternSource.from_file(hex_path, fmt="morse")
+        read_pattern(hex_path, fmt="morse")
 
 
 def test_alice_settings_validation():
@@ -530,7 +531,7 @@ def test_run_session_windows_tile_random_policy_session():
 
 
 def test_run_session_pattern_truncation():
-    pattern = PatternSource.from_hex("FF" * 250)  # 1000 pulses worth
+    pattern = PatternSource(b"\xff" * 250)  # 1000 pulses worth
     config = ideal_config(alice=AliceSettings(p_key=0.5, pattern=pattern))
     result = run_session(config, 5_000, seed=1)
     assert result.truncated
