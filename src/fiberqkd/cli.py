@@ -273,18 +273,19 @@ def cmd_optimize(args) -> int:
         "rate_bps": result.rate_bps,
         "rate_at_balanced_bps": rate_fn(0.5 + 1e-9),
         "n_evaluations": result.n_evaluations,
-        "unimodality_violation": result.unimodality_violation,
-        "method": result.method,
         "inputs": inputs,
     }
     if args.audit:
-        doc["evaluations"] = [[p, r] for p, r in result.evaluations]
+        doc["evaluations"] = result.evaluations.tolist()
     _emit_json(doc, args.out)
     return 0
 
 
 def cmd_rate_curve(args) -> int:
     scenario = load_scenario(args.scenario)
+    for flag, loss in (("--loss-min", args.loss_min), ("--loss-max", args.loss_max)):
+        if not 0.0 <= loss < math.inf:
+            raise ValidationError(f"{flag} must be a finite non-negative loss in dB, got {loss}")
     if not args.loss_min < args.loss_max:
         raise ValidationError("need loss-min < loss-max")
     if args.points < 2:

@@ -51,7 +51,7 @@ def binary_entropy(q):
     uses log1p so arguments near one keep full precision.
     """
     arr = np.asarray(q, dtype=float)
-    if not _all(~((arr < 0.0) | (arr > 1.0))):
+    if not _all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError("entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0.0) & (arr < 1.0)
@@ -89,7 +89,10 @@ def fluctuation_delta(n_key, n_check, eps_sec: float):
         raise ValidationError("both sifted counts must be at least one")
     if not 0.0 < eps_sec < 1.0:
         raise ValidationError("secrecy failure probability must lie in (0, 1)")
-    ratio = (n_key + n_check) * (n_check + 1.0) / (n_key * (n_check * n_check))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (n_key + n_check) * (n_check + 1.0) / (n_key * (n_check * n_check))
+    if not _all(np.isfinite(ratio)):
+        raise ValidationError("sifted counts too large for the deviation term")
     return _float_if_scalar(np.sqrt(ratio * math.log(2.0 / eps_sec)))
 
 
@@ -287,79 +290,35 @@ class OptimizationResult:
 
     p_key: float
     rate_bps: float
-    evaluations: tuple[tuple[float, float], ...]
-    unimodality_violation: bool
-    method: str
+    evaluations: np.ndarray  # (n, 2): the scanned (p_key, rate) pairs in grid order
 
     @property
     def n_evaluations(self) -> int:
         return len(self.evaluations)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Bracket of the key-basis probability, golden-section tolerance and the
-# step of the fine grid scanned when the objective is not unimodal.
+# Ends and step of the key-basis probability grid that the optimizer scans.
 _P_KEY_LOWER = 0.5 + 1e-6
 _P_KEY_UPPER = 1.0 - 1e-4
-_SEARCH_TOL = 1e-5
 _GRID_STEP = 1e-4
 
 
 def optimize_basis_probability(rate_fn: Callable) -> OptimizationResult:
     """Maximize a secure-rate objective over the key-basis probability.
 
-    Golden-section search first, then a coarse verification grid; if the grid
-    beats the bracketed optimum the objective is not unimodal on the
-    interval, a fine grid at ``_GRID_STEP`` resolution is scanned and the
-    violation is flagged. The returned optimum is the best point evaluated
-    anywhere, so a flagged result is still trustworthy at grid resolution.
-
-    ``rate_fn`` takes a float for each golden-section step and a whole grid
-    as one array, which it must map elementwise.
+    ``rate_fn`` is called once, on the grid from ``_P_KEY_LOWER`` to ``_P_KEY_UPPER``
+    in ``_GRID_STEP`` steps with both ends, as one array it maps elementwise. The
+    floored finite-key objective is a staircase, not unimodal: the grid's first
+    maximum is returned, the smallest ``p_key`` on the best plateau.
     """
-    lower, upper = _P_KEY_LOWER, _P_KEY_UPPER
-    evals: list[tuple[float, float]] = []
-
-    def measured(p: float) -> float:
-        r = float(rate_fn(p))
-        evals.append((p, r))
-        return r
-
-    def measured_grid(points: np.ndarray) -> list[float]:
-        rates = np.asarray(rate_fn(points), dtype=float).tolist()
-        evals.extend(zip(points.tolist(), rates))
-        return rates
-
-    a, b = lower, upper
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = measured(c), measured(d)
-    while b - a > _SEARCH_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = measured(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = measured(d)
-    best_p, best_r = max(evals, key=lambda pr: pr[1])
-
-    coarse_best = max(measured_grid(np.linspace(lower, upper, 201)))
-    violation = coarse_best > best_r + 1e-9 * max(1.0, abs(best_r))
-    method = "golden-section"
-    if violation:
-        fine = np.arange(lower, upper + 0.5 * _GRID_STEP, _GRID_STEP)
-        measured_grid(np.minimum(fine, upper))
-        method = "golden-section+grid"
-    best_p, best_r = max(evals, key=lambda pr: pr[1])
+    grid = np.arange(_P_KEY_LOWER, _P_KEY_UPPER + 0.5 * _GRID_STEP, _GRID_STEP)
+    grid = np.minimum(grid, _P_KEY_UPPER)
+    rates = np.asarray(rate_fn(grid), dtype=float)
+    best = int(np.argmax(rates))
     return OptimizationResult(
-        p_key=best_p,
-        rate_bps=best_r,
-        evaluations=tuple(evals),
-        unimodality_violation=bool(violation),
-        method=method,
+        p_key=float(grid[best]),
+        rate_bps=float(rates[best]),
+        evaluations=np.column_stack((grid, rates)),
     )
 
 

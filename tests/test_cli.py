@@ -224,6 +224,30 @@ def test_exit_code_one_on_negative_simulate_seed(capsys):
     assert "seed must be non-negative" in err
 
 
+def test_exit_code_one_on_counts_too_large_for_the_deviation_term(tmp_path, capsys):
+    """inf / inf in the deviation ratio is an error, not a NaN that the
+    entropy check let through as a zero allowance and an "ok" key."""
+    doc = json.loads(bundled_scenario_path("tally-spool").read_text())
+    doc["n_x"] = 10**160
+    tally = tmp_path / "tally.json"
+    tally.write_text(json.dumps(doc))
+    for argv in (["keyrate", "--tally", str(tally)],
+                 ["optimize", "--scenario", "deployed-3p5km", "--duration", "1e300"]):
+        code, out, err = _run_capturing(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "sifted counts too large for the deviation term" in err
+
+
+@pytest.mark.parametrize("bound", ["--loss-max=inf", "--loss-max=nan", "--loss-min=-inf",
+                                   "--loss-min=-1"])
+def test_exit_code_one_on_bad_loss_bounds(capsys, bound):
+    """Loss bounds are finite and non-negative, checked before the grid is built."""
+    code, out, err = _run_capturing(capsys, ["rate-curve", "--scenario", "deployed-3p5km",
+                                             "--loss-min=0", "--loss-max=10", bound])
+    assert (code, out) == (1, "")
+    assert f"{bound.split('=')[0]} must be a finite non-negative loss" in err
+
+
 @pytest.mark.parametrize("bounds", [
     ["--start", "1300", "--stop", "inf"],
     ["--start", "nan", "--stop", "1310"],

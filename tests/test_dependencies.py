@@ -1,6 +1,8 @@
-"""Packaging: the modules import exactly the declared run-time dependencies."""
+"""Packaging: the modules import exactly the declared run-time dependencies,
+and the README names only what the package has."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 
 
 PACKAGE = Path(fiberqkd.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _third_party_imports(path: Path) -> set[str]:
@@ -63,3 +66,21 @@ def test_one_module_reads_input_files():
     assert csv_importers == {"documents"}
     assert {module for module, _ in openers} == {"documents", "cli"}
     assert {function for module, function in openers if module == "cli"} == {"_emit_text"}
+
+
+def test_readme_dotted_names_resolve():
+    """Every ``fiberqkd.<module>.<name>`` quoted in the README's prose imports."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = {name for span in re.findall(r"`([^`]+)`", prose)
+             for name in re.findall(r"\bfiberqkd(?:\.\w+)+", span)}
+    missing = []
+    for dotted in sorted(names):
+        _, module, *attributes = dotted.split(".")
+        try:
+            value = importlib.import_module(f"fiberqkd.{module}")
+            for attribute in attributes:
+                value = getattr(value, attribute)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    assert len(names) > 10
+    assert missing == []

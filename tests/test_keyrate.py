@@ -67,6 +67,8 @@ def test_binary_entropy_array_and_validation():
         binary_entropy(-0.1)
     with pytest.raises(ValidationError):
         binary_entropy(1.1)
+    with pytest.raises(ValidationError):
+        binary_entropy(np.array([0.25, math.nan]))
 
 
 # ----------------------------------------------------------- term helpers
@@ -91,6 +93,15 @@ def test_fluctuation_delta_shrinks_with_statistics():
     assert fluctuation_delta(1_000_000, 40_000, 1e-12) < base
     assert fluctuation_delta(4_000_000, 40_000, 1e-12) < base
     assert fluctuation_delta(1_000_000, 10_000, 1e-6) < base  # looser epsilon
+
+
+def test_fluctuation_delta_rejects_counts_that_overflow_its_ratio():
+    """Counts whose product overflows give inf / inf; that is an error, not a
+    NaN allowance that the entropy would have read as zero."""
+    assert fluctuation_delta(1e110, 1e110, 1e-12) == 0.0  # only the denominator overflows
+    for n_key, n_check in ((1e160, 1e160), (1.0, 1e160), (np.array([1e3, 1e160]), 1e160)):
+        with pytest.raises(ValidationError, match="too large"):
+            fluctuation_delta(n_key, n_check, 1e-12)
 
 
 def test_leakage_is_linear_in_key_length():
@@ -281,23 +292,43 @@ def test_multiphoton_fraction_kills_asymptotic_rate():
 
 
 def test_optimizer_recovers_quadratic_maximum():
-    res = optimize_basis_probability(lambda p: -((p - 0.8) ** 2))
+    """One call of the objective, on the whole grid as one array."""
+    calls = []
+
+    def quadratic(p):
+        calls.append(p)
+        return -((p - 0.8) ** 2)
+
+    res = optimize_basis_probability(quadratic)
     assert res.p_key == pytest.approx(0.8, abs=1e-4)
-    assert not res.unimodality_violation
-    assert res.n_evaluations > 10
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    assert res.n_evaluations == calls[0].size == 5000
 
 
-def test_optimizer_flags_multimodal_landscape():
-    # the first bump sits on the initial golden probe, trapping the bracket;
-    # the taller bump near the edge is only visible to the verification grid
+def test_optimizer_finds_the_global_bump_of_a_multimodal_landscape():
+    # two local maxima; the taller one near the edge is the answer, with no
+    # flag or second search needed to find it
     def two_bumps(p):
         return (np.exp(-((p - 0.69) ** 2) / 2e-4)
                 + 2.0 * np.exp(-((p - 0.98) ** 2) / 2e-4))
 
     res = optimize_basis_probability(two_bumps)
-    assert res.unimodality_violation
-    assert res.method == "golden-section+grid"
-    assert res.p_key == pytest.approx(0.98, abs=2e-3)  # global bump wins
+    assert res.p_key == pytest.approx(0.98, abs=1e-4)
+    assert res.rate_bps == pytest.approx(2.0, rel=1e-6)
+
+
+def test_optimizer_returns_the_first_point_of_a_plateau():
+    """The floored objective ties on plateaus: the smallest p_key of the
+    best one wins. The spool's 25,200 s objective has such a plateau."""
+    inputs, security = bundled_planning("spool-32p5km")
+    rate_fn = planning_rate_function(duration_s=25200.0, security=security, **inputs)
+    res = optimize_basis_probability(rate_fn)
+    p, rates = res.evaluations.T
+    tied = np.flatnonzero(rates == rates.max())
+    assert tied.size > 1
+    assert res.p_key == p[tied[0]] and res.rate_bps == rates.max()
+    step = optimize_basis_probability(lambda q: np.floor(q * 10.0))
+    assert step.p_key == p[np.flatnonzero(p >= 0.9)[0]]
 
 
 # -------------------------------------------------------- planning helpers
@@ -447,22 +478,19 @@ def test_asymptotic_objective_on_a_grid_equals_scalar_arithmetic():
     assert 0.0 in rates.tolist() and max(rates.tolist()) > 0.0  # both branches ran
 
 
-@pytest.mark.parametrize("duration, flagged", [("60", False), ("1433.734296453897", True)])
-def test_optimize_audit_trail_order(tmp_path, duration, flagged):
-    """Golden-section steps, then the coarse grid, then the fine grid when
-    the coarse grid flags the objective, every rate equal to a scalar call."""
+@pytest.mark.parametrize("duration", ["60", "1433.734296453897"])
+def test_optimize_audit_trail_order(tmp_path, duration):
+    """The audit is the grid in order, both ends included, every rate equal to
+    a scalar call of the objective."""
     out = tmp_path / "opt.json"
     assert cli_main(["optimize", "--scenario", "deployed-3p5km", "--duration", duration,
                      "--audit", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["unimodality_violation"] is flagged
-    coarse = np.linspace(_P_KEY_LOWER, _P_KEY_UPPER, 201).tolist()
-    fine = np.arange(_P_KEY_LOWER, _P_KEY_UPPER + 0.5 * _GRID_STEP, _GRID_STEP)
-    grids = coarse + (np.minimum(fine, _P_KEY_UPPER).tolist() if flagged else [])
+    grid = np.arange(_P_KEY_LOWER, _P_KEY_UPPER + 0.5 * _GRID_STEP, _GRID_STEP)
     evals = doc["evaluations"]
-    n_golden = len(evals) - len(grids)
-    assert n_golden == 25
-    assert [p for p, _ in evals[n_golden:]] == grids
+    assert [p for p, _ in evals] == np.minimum(grid, _P_KEY_UPPER).tolist()
+    assert evals[0][0] == _P_KEY_LOWER and evals[-1][0] == _P_KEY_UPPER
+    assert doc["n_evaluations"] == len(evals)
     inputs, security = bundled_planning("deployed-3p5km")
     rate_fn = planning_rate_function(duration_s=float(duration), security=security, **inputs)
     assert [r for _, r in evals] == [rate_fn(p) for p, _ in evals]
