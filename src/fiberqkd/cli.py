@@ -43,7 +43,7 @@ from .keyrate import (
     secure_key_length,
 )
 from .polarization import stokes_of
-from .protocol import PatternSource, run_session
+from .protocol import run_session
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +84,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = scenario.config
     if args.pattern is not None:
-        pattern = PatternSource(read_pattern(args.pattern, args.pattern_format))
+        pattern = read_pattern(args.pattern, args.pattern_format)
         config = replace(config, alice=replace(config.alice, pattern=pattern))
     if args.window_s is not None:
         config = replace(config, window_s=args.window_s)
@@ -125,7 +125,10 @@ def cmd_simulate(args) -> int:
     }
     _emit_json(doc, args.out)
     if args.timeseries:
-        rows = [[w.index, float(w.qber), float(w.sifted_bps)] for w in result.windows]
+        sifted, errors = result.windows.T
+        with np.errstate(invalid="ignore"):  # an empty window's qber is nan
+            qber = errors / sifted
+        rows = zip(range(len(sifted)), qber.tolist(), (sifted / config.window_s).tolist())
         _emit_text(csv_text(["window_index", "qber", "sifted_bps"], rows), args.timeseries)
     return 0
 
@@ -249,6 +252,8 @@ def cmd_g2_pulsed(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.duration is not None and math.isinf(args.duration):
+        raise ValidationError("--duration must be finite; --duration-inf gives the asymptotic rate")
     scenario = load_scenario(args.scenario)
     duration = args.duration if args.duration is not None else scenario.duration_s
     if args.duration_inf:
@@ -383,8 +388,9 @@ def build_parser() -> _Parser:
 
     opt = sub.add_parser("optimize", help="basis-bias optimization of the finite-key rate")
     opt.add_argument("--scenario", required=True)
-    opt.add_argument("--duration", type=float, default=None, help="seconds; scenario default")
-    opt.add_argument("--duration-inf", action="store_true", help="asymptotic objective")
+    duration = opt.add_mutually_exclusive_group()
+    duration.add_argument("--duration", type=float, default=None, help="seconds; scenario default")
+    duration.add_argument("--duration-inf", action="store_true", help="asymptotic objective")
     opt.add_argument("--audit", action="store_true", help="include every evaluation")
     opt.add_argument("--out", default=None)
     opt.set_defaults(func=cmd_optimize)

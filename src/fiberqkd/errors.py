@@ -8,6 +8,3 @@ class ValidationError(ValueError):
 class FitConvergenceError(RuntimeError):
     """An iterative fit failed to reach a usable solution."""
 
-
-class PatternExhaustedError(ValidationError):
-    """A modulation pattern ran out of entries before the request was met."""

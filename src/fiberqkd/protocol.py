@@ -1,35 +1,36 @@
 """Slot-level BB84 session engine with a passive-basis receiver.
 
 The transmitter prepares one of the four equatorial states per clock slot,
-choosing the basis with a configurable bias (or replaying a supplied
-modulation pattern). The receiver is passive: each arriving photon takes one
-arm of a splitter and is projected onto that arm's basis, so four detectors
-named after the outcome states D, A, L and R report clicks. Dark counts fire
-independently on every detector each slot. Slots with exactly one click in
-the transmitter's basis survive sifting; double clicks follow a configurable
-policy and cross-basis coincidences are always discarded. ``classify`` is the
-only place these sifting rules live: ``run_session`` and the offline ``sift``
-both call it.
+choosing the basis with a configurable bias (or replaying the first pairs
+of a supplied modulation pattern). The receiver is passive: each arriving
+photon takes one arm of a splitter and is projected onto that arm's basis,
+so four detectors named after the outcome states D, A, L and R report
+clicks. Dark counts fire independently on every detector each slot. Slots
+with exactly one click in the transmitter's basis survive sifting; double
+clicks follow a configurable policy and cross-basis coincidences are always
+discarded. ``classify`` is the only place these sifting rules live:
+``run_session`` and the offline ``sift`` both call it.
 
 ``run_session`` is an event-driven Monte Carlo: geometric gaps skip the
 slots where nothing clicks, and only the clicked slots are drawn, in
-vectorized batches with a fixed draw order, so a seed pins the whole
-session byte for byte. ``expected_rates`` gives the matching closed-form
-detection, sifting and error rates used for calibration and for optimizer
-objectives.
+vectorized batches with a fixed draw order. A pattern is immutable bytes
+that every session replays from its start, so a configuration and a seed
+pin the whole session byte for byte. ``expected_rates`` gives the matching
+closed-form detection, sifting and error rates used for calibration and
+for optimizer objectives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import FiberChannel, apply_channel_rows, qber_from_pmd
 from .emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
-from .errors import PatternExhaustedError, ValidationError
+from .errors import ValidationError
 from .polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_of
 
 # Clicked slots handled per batch of gaps; bounds the engine's memory.
@@ -82,52 +83,25 @@ def survival_probability(
     return float(p)
 
 
-class PatternSource:
-    """Pre-recorded modulation pattern, two bits per pulse, built from its bytes
-    (``documents.read_pattern`` reads them from a file).
-
-    Within each byte, pairs are consumed most-significant bits first; the
-    first bit of a pair selects the basis (0 for DA, 1 for LR) and the second
-    the encoded bit value.
-    """
-
-    def __init__(self, data: bytes):
-        if len(data) == 0:
-            raise ValidationError("pattern is empty")
-        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        self._cursor = 0
-
-    @property
-    def remaining_pairs(self) -> int:
-        return (self._bits.size - self._cursor) // 2
-
-    def take_pairs(self, n: int) -> np.ndarray:
-        """Next ``n`` pairs as an (n, 2) view of the pattern bits, basis first.
-
-        Raises when the pattern runs out. The view copies nothing, so a
-        session can read just the pairs of the slots that click.
-        """
-        if n < 0:
-            raise ValidationError("cannot take a negative number of pairs")
-        if n > self.remaining_pairs:
-            raise PatternExhaustedError(
-                f"pattern has {self.remaining_pairs} pairs left, {n} requested"
-            )
-        pairs = self._bits[self._cursor : self._cursor + 2 * n].reshape(n, 2)
-        self._cursor += 2 * n
-        return pairs
-
-
 @dataclass(frozen=True)
 class AliceSettings:
-    """Transmitter-side basis bias and optional fixed pattern."""
+    """Transmitter-side basis bias and optional fixed modulation pattern.
+
+    ``pattern`` holds the pattern's bytes (``documents.read_pattern`` reads
+    them from a file), two bits per pulse. Within each byte, pairs are read
+    most-significant bits first; the first bit of a pair selects the basis
+    (0 for DA, 1 for LR) and the second the encoded bit value. A session
+    replays the pattern's first pairs, one per slot, in place of the bias.
+    """
 
     p_key: float = 0.5
-    pattern: PatternSource | None = field(default=None, compare=False)
+    pattern: bytes | None = None
 
     def __post_init__(self):
         if not 0.0 < self.p_key < 1.0:
             raise ValidationError("key-basis probability must lie strictly in (0, 1)")
+        if self.pattern is not None and len(self.pattern) == 0:
+            raise ValidationError("pattern is empty")
 
     @property
     def p_check(self) -> float:
@@ -264,29 +238,12 @@ class SiftResult:
 
 
 @dataclass(frozen=True)
-class WindowStat:
-    """Sifted throughput and error rate over one time window."""
-
-    index: int
-    n_sifted: int
-    n_errors: int
-    window_s: float
-
-    @property
-    def qber(self) -> float:
-        return self.n_errors / self.n_sifted if self.n_sifted else math.nan
-
-    @property
-    def sifted_bps(self) -> float:
-        return self.n_sifted / self.window_s
-
-
-@dataclass(frozen=True)
 class SessionResult:
-    """Output of one Monte-Carlo session."""
+    """Output of one Monte-Carlo session; ``windows`` is an (n_windows, 2)
+    int64 array of each window's sifted and error counts."""
 
     sift: SiftResult
-    windows: tuple[WindowStat, ...]
+    windows: np.ndarray
     records: tuple[SlotRecord, ...] | None
     n_pulses: int
     duration_s: float
@@ -466,7 +423,8 @@ def run_session(
     and measurement draws for first then second photons, then double-click
     resolutions. Only clicked slots are recorded when ``record_slots`` is on.
     Time windows cover ``config.window_s`` each; the trailing partial window
-    is dropped.
+    is dropped. A pattern shorter than ``n_pulses`` pairs ends the session
+    early with ``truncated`` set.
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
@@ -478,21 +436,18 @@ def run_session(
     t = survival_probability(device, config.channel.loss_db, config.detection_scale)
 
     truncated = False
-    pairs = None
     pattern = config.alice.pattern
     if pattern is not None:
-        if pattern.remaining_pairs < n_pulses:
-            n_pulses = pattern.remaining_pairs
-            truncated = True
-            if n_pulses == 0:
-                raise PatternExhaustedError("pattern has no pairs left")
-        pairs = pattern.take_pairs(n_pulses)
+        truncated = 4 * len(pattern) < n_pulses
+        n_pulses = min(n_pulses, 4 * len(pattern))
+        pairs = np.unpackbits(
+            np.frombuffer(pattern, dtype=np.uint8), count=2 * n_pulses
+        ).reshape(n_pulses, 2)
 
     window_pulses = int(round(config.window_s * device.rep_rate_hz))
     window_pulses = max(window_pulses, 1)
     n_windows = n_pulses // window_pulses
-    win_sifted = np.zeros(n_windows, dtype=np.int64)
-    win_errors = np.zeros(n_windows, dtype=np.int64)
+    windows = np.zeros((n_windows, 2), dtype=np.int64)  # sifted, errors
 
     counts = np.zeros(2 * _N_OUTCOMES, dtype=np.int64)
     records: list[SlotRecord] = []
@@ -529,7 +484,7 @@ def run_session(
         if k == 0:
             break
 
-        if pairs is not None:
+        if pattern is not None:
             basis_idx, bits = pairs[slots].T.astype(np.int64)
         else:
             basis_idx = (rng.random(k) >= config.p_da).astype(np.int64)  # 0 = DA, 1 = LR
@@ -576,8 +531,8 @@ def run_session(
             win_idx = slots[kept] // window_pulses
             in_win = win_idx < n_windows
             wrong = in_win & (outcomes[kept] == ERROR)
-            win_sifted += np.bincount(win_idx[in_win], minlength=n_windows)
-            win_errors += np.bincount(win_idx[wrong], minlength=n_windows)
+            windows[:, 0] += np.bincount(win_idx[in_win], minlength=n_windows)
+            windows[:, 1] += np.bincount(win_idx[wrong], minlength=n_windows)
 
         if record_slots:
             for i in range(k):
@@ -591,15 +546,6 @@ def run_session(
                     )
                 )
 
-    windows = tuple(
-        WindowStat(
-            index=i,
-            n_sifted=int(win_sifted[i]),
-            n_errors=int(win_errors[i]),
-            window_s=config.window_s,
-        )
-        for i in range(n_windows)
-    )
     return SessionResult(
         sift=_sift_result(counts, n_pulses, config.key_basis),
         windows=windows,
@@ -615,7 +561,6 @@ def run_session(
 class RateModel:
     """Closed-form per-slot probabilities and rates for one configuration."""
 
-    p_survival: float
     p_signal_click: float
     p_det: float
     sift_da: float
@@ -682,7 +627,6 @@ def closed_form_rates(
     pooled = (err["DA"] + err["LR"]) / total if total > 0.0 else math.nan
     nu = device.rep_rate_hz if rep_rate_hz is None else rep_rate_hz
     return RateModel(
-        p_survival=t,
         p_signal_click=s_click,
         p_det=p_det,
         sift_da=sift["DA"],

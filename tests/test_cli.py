@@ -60,16 +60,24 @@ def test_simulate_json_document(tmp_path, capsys):
 
 
 def test_simulate_timeseries_csv(tmp_path):
+    """800-slot windows tile 4e6 pulses exactly; most of them sift nothing."""
     out = tmp_path / "session.json"
     ts = tmp_path / "windows.csv"
-    code = run_cli("simulate", "--scenario", "deployed-3p5km", "--seed", "3",
-                   "--pulses", "400000", "--window-s", "0.001",
-                   "--timeseries", str(ts), "--out", str(out))
-    assert code == 0
+    assert run_cli("simulate", "--scenario", "deployed-3p5km", "--seed", "9",
+                   "--pulses", "4000000", "--window-s", "1e-5",
+                   "--timeseries", str(ts), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
     with ts.open(newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert len(rows) == 5  # 0.001 s windows at 80 MHz over 4e5 pulses
-    assert set(rows[0]) >= {"window_index", "qber", "sifted_bps"}
+    assert list(rows[0]) == ["window_index", "qber", "sifted_bps"]
+    assert [int(row["window_index"]) for row in rows] == list(range(5000))
+    assert doc["n_windows"] == 5000
+    qber = {(float(row["sifted_bps"]) > 0.0, row["qber"]) for row in rows}
+    assert (False, "nan") in qber and {q for sifted, q in qber if not sifted} == {"nan"}
+    assert all(0.0 <= float(q) <= 1.0 for sifted, q in qber if sifted)
+    sifted = sum(float(row["sifted_bps"]) for row in rows) * 1e-5
+    assert doc["sift"]["n_sifted"] > 0
+    assert sifted == pytest.approx(doc["sift"]["n_sifted"], rel=1e-12)
 
 
 def test_keyrate_bundled_tally(tmp_path):
@@ -174,6 +182,25 @@ def test_optimize_audit_lists_evaluations(tmp_path):
                    "60", "--audit", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert len(doc["evaluations"]) == doc["n_evaluations"]
+
+
+def test_optimize_duration_inf_is_the_asymptotic_rate(capsys):
+    code, out, err = _run_capturing(capsys, ["optimize", "--scenario", "spool-32p5km",
+                                             "--duration-inf"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["duration_s"] is None
+    assert doc["rate_bps"] == pytest.approx(75.91907047925336, rel=1e-12)
+    assert doc["p_key"] == pytest.approx(0.985301, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e310"])
+def test_exit_code_one_on_infinite_optimize_duration(capsys, value):
+    """An infinite --duration is an input error, not the --duration-inf answer."""
+    code, out, err = _run_capturing(capsys, ["optimize", "--scenario", "spool-32p5km",
+                                             f"--duration={value}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --duration must be finite")
 
 
 def test_rate_curve_csv(tmp_path):
@@ -942,6 +969,10 @@ def test_exit_code_one_on_bad_flags(capsys):
         run_cli("simulate", "--scenario", "deployed-3p5km")  # --seed required
     assert err.value.code == 1
     capsys.readouterr()
+    code, out, err = _run_capturing(capsys, ["optimize", "--scenario", "spool-32p5km",
+                                             "--duration", "60", "--duration-inf"])
+    assert (code, out) == (1, "")
+    assert "--duration-inf: not allowed with argument --duration" in err
 
 
 def _run_capturing(capsys, argv):

@@ -10,7 +10,7 @@ from scipy.stats import chi2_contingency
 from fiberqkd.channel import FiberChannel, FiberSegment, apply_channel_rows
 from fiberqkd.documents import read_pattern
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
-from fiberqkd.errors import PatternExhaustedError, ValidationError
+from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_of
 from fiberqkd.protocol import (
     CROSS,
@@ -20,7 +20,6 @@ from fiberqkd.protocol import (
     MISMATCH,
     AliceSettings,
     DeviceParams,
-    PatternSource,
     SessionConfig,
     SlotRecord,
     classify,
@@ -54,39 +53,13 @@ def ideal_config(**overrides):
 # ------------------------------------------------------------- pattern I/O
 
 
-def test_pattern_from_hex_bit_order(tmp_path):
-    # 0xB1 = 10110001: pairs (1,0) (1,1) (0,0) (0,1), basis bit first
-    path = tmp_path / "pattern.hex"
-    path.write_text("B1")
-    pat = PatternSource(read_pattern(path))
-    assert pat.remaining_pairs == 4
-    pairs = pat.take_pairs(4)
-    assert pairs[:, 0].tolist() == [1, 1, 0, 0]
-    assert pairs[:, 1].tolist() == [0, 1, 0, 1]
-
-
-def test_pattern_take_and_exhaustion():
-    pat = PatternSource(bytes([0xFF, 0x00]))
-    assert pat.take_pairs(5).shape == (5, 2)
-    assert pat.remaining_pairs == 3
-    pat.take_pairs(3)
-    with pytest.raises(PatternExhaustedError):
-        pat.take_pairs(1)
-    with pytest.raises(ValidationError):
-        pat.take_pairs(-1)
-    with pytest.raises(ValidationError):
-        PatternSource(b"")
-
-
 def test_pattern_from_file_formats(tmp_path):
     hex_path = tmp_path / "pattern.txt"
     hex_path.write_text("b1\nb1\n")
-    pat = PatternSource(read_pattern(hex_path))
-    assert pat.remaining_pairs == 8
+    assert read_pattern(hex_path) == b"\xb1\xb1"
     bin_path = tmp_path / "pattern.bin"
     bin_path.write_bytes(bytes([0xB1]))
-    pat = PatternSource(read_pattern(bin_path))  # suffix selects binary mode
-    assert pat.take_pairs(4)[:, 0].tolist() == [1, 1, 0, 0]
+    assert read_pattern(bin_path) == b"\xb1"  # suffix selects binary mode
     with pytest.raises(ValidationError):
         read_pattern(hex_path, fmt="morse")
 
@@ -96,7 +69,12 @@ def test_alice_settings_validation():
         AliceSettings(p_key=0.0)
     with pytest.raises(ValidationError):
         AliceSettings(p_key=1.0)
+    with pytest.raises(ValidationError):
+        AliceSettings(pattern=b"")
     assert AliceSettings(p_key=0.7).p_check == pytest.approx(0.3)
+    # a pattern is compared by value, so equal configurations run equal sessions
+    assert AliceSettings(pattern=b"\xb1") == AliceSettings(pattern=bytes([0xB1]))
+    assert AliceSettings(pattern=b"\xb1") != AliceSettings(pattern=b"\xb2")
 
 
 # ------------------------------------------------------------ link budget
@@ -508,10 +486,9 @@ def test_run_session_windows():
                           channel=flat_channel(loss_db=3.0), window_s=0.004)
     result = run_session(config, 10_000, seed=9)
     # 0.004 s at 1 MHz is 4000 pulses: two complete windows out of 10000
-    assert len(result.windows) == 2
-    assert all(w.window_s == pytest.approx(0.004) for w in result.windows)
-    assert sum(w.n_sifted for w in result.windows) <= result.sift.n_sifted
-    assert [w.index for w in result.windows] == [0, 1]
+    assert result.windows.shape == (2, 2) and result.windows.dtype == np.int64
+    assert result.windows[:, 0].sum() <= result.sift.n_sifted
+    assert np.all(result.windows[:, 1] <= result.windows[:, 0])
 
 
 def test_run_session_windows_tile_random_policy_session():
@@ -522,17 +499,15 @@ def test_run_session_windows_tile_random_policy_session():
                            double_click_policy="random", window_s=0.002)
     result = run_session(config, 10_000, seed=2, record_slots=True)
     # five 2000-slot windows cover every slot, so they hold every kept slot
-    assert len(result.windows) == 5
-    assert sum(w.n_sifted for w in result.windows) == result.sift.n_sifted
-    assert sum(w.n_errors for w in result.windows) == (
-        result.sift.errors_da + result.sift.errors_lr)
+    assert result.windows.shape == (5, 2)
+    assert result.windows.sum(axis=0).tolist() == [
+        result.sift.n_sifted, result.sift.errors_da + result.sift.errors_lr]
     resolved = [r for r in result.records if r.detections == BASIS_STATES[r.alice_basis]]
     assert len(resolved) > 100  # same-basis doubles kept through the random policy
 
 
 def test_run_session_pattern_truncation():
-    pattern = PatternSource(b"\xff" * 250)  # 1000 pulses worth
-    config = ideal_config(alice=AliceSettings(p_key=0.5, pattern=pattern))
+    config = ideal_config(alice=AliceSettings(p_key=0.5, pattern=b"\xff" * 250))  # 1000 pulses
     result = run_session(config, 5_000, seed=1)
     assert result.truncated
     assert result.n_pulses == 1_000
@@ -544,10 +519,9 @@ def test_run_session_without_sources_draws_no_events():
     # nothing can fire, so there is no gap to draw (geometric(0) would raise)
     result = run_session(config, 1_000_000, seed=1, record_slots=True)
     assert result.sift.n_detections == 0 and result.records == ()
-    assert result.windows == ()
+    assert result.windows.shape == (0, 2)
     windowed = run_session(replace(config, window_s=0.1), 1_000_000, seed=1)
-    assert len(windowed.windows) == 10
-    assert all(w.n_sifted == 0 for w in windowed.windows)
+    assert np.array_equal(windowed.windows, np.zeros((10, 2), dtype=np.int64))
 
 
 def test_run_session_dark_only_link():
@@ -564,13 +538,27 @@ def test_run_session_dark_only_link():
     assert abs(errors - 0.5 * kept) < 4.0 * np.sqrt(0.25 * kept)
 
 
-def test_run_session_when_every_slot_clicks():
+def every_slot_clicks_config(**overrides):
     # these probabilities sum to one plus one rounding step
     device = DeviceParams(rep_rate_hz=1e6, detector_efficiency=1.0,
                           dark_prob=0.9998946799017371, intrinsic_error=0.0)
-    config = ideal_config(device=device, stats=PhotonStatistics(mu=0.999, g2_zero=0.0))
-    result = run_session(config, 1_000, seed=3, record_slots=True)
+    return ideal_config(device=device, stats=PhotonStatistics(mu=0.999, g2_zero=0.0),
+                        **overrides)
+
+
+def test_run_session_when_every_slot_clicks():
+    result = run_session(every_slot_clicks_config(), 1_000, seed=3, record_slots=True)
     assert [r.slot for r in result.records] == list(range(1_000))
+
+
+def test_run_session_pattern_bit_order():
+    # 0xB1 = 10110001: pairs (1,0) (1,1) (0,0) (0,1), most significant first,
+    # each the basis bit (0 for DA, 1 for LR) then the encoded bit
+    config = every_slot_clicks_config(alice=AliceSettings(pattern=b"\xb1"))
+    result = run_session(config, 4, seed=3, record_slots=True)
+    assert [(r.slot, r.alice_basis, r.alice_bit) for r in result.records] == [
+        (0, "LR", 0), (1, "LR", 1), (2, "DA", 0), (3, "DA", 1)]
+    assert not result.truncated
 
 
 def test_run_session_paper_length_rare_events():
@@ -582,8 +570,8 @@ def test_run_session_paper_length_rare_events():
                            window_s=20.0)
     n = 2_016_000_000_000
     result = run_session(config, n, seed=8, record_slots=True)
-    assert len(result.windows) == 1260 and result.windows[-1].index == 1259
-    assert sum(w.n_sifted for w in result.windows) == result.sift.n_sifted
+    assert result.windows.shape == (1260, 2)
+    assert result.windows[:, 0].sum() == result.sift.n_sifted
     slots = np.array([r.slot for r in result.records])
     assert np.all(np.diff(slots) > 0) and slots[0] >= 0 and slots[-1] < n
     assert slots[-1] > 2**40
@@ -594,16 +582,29 @@ def test_run_session_paper_length_rare_events():
 def test_run_session_pattern_bits_follow_slots():
     data = np.random.default_rng(12).integers(0, 256, size=5_000, dtype=np.uint8).tobytes()
     pairs = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).reshape(-1, 2)
-    pattern = PatternSource(data)
     config = ideal_config(stats=PhotonStatistics(mu=0.3, g2_zero=0.0),
                           channel=flat_channel(loss_db=3.0),
-                          alice=AliceSettings(pattern=pattern))
+                          alice=AliceSettings(pattern=data))
     result = run_session(config, 15_000, seed=6, record_slots=True)
-    assert not result.truncated and pattern.remaining_pairs == pairs.shape[0] - 15_000
+    assert not result.truncated
     assert len(result.records) > 1_000
     for rec in result.records:
         basis, bit = pairs[rec.slot]
         assert (rec.alice_basis, rec.alice_bit) == (("DA", "LR")[basis], bit)
+
+
+def test_run_session_with_a_pattern_is_a_function_of_config_and_seed():
+    """Every call replays the pattern from its start: a configuration holds
+    no cursor that one session advances for the next."""
+    data = np.random.default_rng(13).integers(0, 256, size=5_000, dtype=np.uint8).tobytes()
+    config = ideal_config(stats=PhotonStatistics(mu=0.3, g2_zero=0.0),
+                          channel=flat_channel(loss_db=3.0), window_s=0.001,
+                          alice=AliceSettings(pattern=data))
+    first, second = (run_session(config, 15_000, seed=6, record_slots=True) for _ in range(2))
+    assert second.sift == first.sift and second.records == first.records
+    assert np.array_equal(second.windows, first.windows) and first.windows.shape == (15, 2)
+    assert not first.truncated and not second.truncated
+    assert second.n_pulses == 15_000
 
 
 def _outcome_table(records, policy, rng):
