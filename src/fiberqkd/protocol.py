@@ -9,7 +9,10 @@ clicks. Dark counts fire independently on every detector each slot. Slots
 with exactly one click in the transmitter's basis survive sifting; double
 clicks follow a configurable policy and cross-basis coincidences are always
 discarded. ``classify`` is the only place these sifting rules live:
-``run_session`` and the offline ``sift`` both call it.
+``run_session`` and the offline ``sift`` both call it. The offline ``sift``
+makes one validating pass over its records, then calls ``classify`` once on
+the few dozen distinct (basis, bit, detectors) kinds it met and, under the
+``random`` policy, once more on the double-click records alone.
 
 ``run_session`` is an event-driven Monte Carlo: geometric gaps skip the
 slots where nothing clicks, and only the clicked slots are drawn, in
@@ -40,6 +43,10 @@ _BASIS_LABELS = ("DA", "LR")
 _BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
 _DETECTOR_FLAG = {det: 1 << i for i, det in enumerate(DETECTOR_ORDER)}
 _FLAGS = np.array(list(_DETECTOR_FLAG.values()))
+# Detector labels, in DETECTOR_ORDER, of each of the 16 click masks.
+_MASK_LABELS = tuple(
+    tuple(det for det, flag in _DETECTOR_FLAG.items() if mask & flag) for mask in range(16)
+)
 
 DOUBLE_CLICK_POLICIES = ("discard", "random")
 
@@ -128,10 +135,7 @@ class SessionConfig:
             raise ValidationError(f"unknown key basis {self.key_basis!r}")
         if not 0.0 < self.bob_split < 1.0:
             raise ValidationError("receiver splitting ratio must lie in (0, 1)")
-        if self.double_click_policy not in DOUBLE_CLICK_POLICIES:
-            raise ValidationError(
-                f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}"
-            )
+        _check_policy(self.double_click_policy)
         if not self.window_s > 0.0:
             raise ValidationError("window length must be positive")
         if not math.isfinite(self.window_s * self.device.rep_rate_hz):
@@ -258,6 +262,11 @@ KEPT, ERROR, MISMATCH, DOUBLE, CROSS = range(5)
 _N_OUTCOMES = CROSS + 1
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in DOUBLE_CLICK_POLICIES:
+        raise ValidationError(f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}")
+
+
 def classify(
     alice_basis: np.ndarray,
     bits: np.ndarray,
@@ -275,8 +284,7 @@ def classify(
     policy; under ``random`` they count as a click in that basis whose bit is
     drawn from ``rng``, one draw per such slot in Alice's basis, in row order.
     """
-    if policy not in DOUBLE_CLICK_POLICIES:
-        raise ValidationError(f"double-click policy must be one of {DOUBLE_CLICK_POLICIES}")
+    _check_policy(policy)
     in_da = clicks[:, 0] | clicks[:, 1]
     in_lr = clicks[:, 2] | clicks[:, 3]
     cross = in_da & in_lr
@@ -294,9 +302,11 @@ def classify(
     return out
 
 
-def _tally(alice_basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Counts of outcome x transmitter basis, flattened with basis fastest."""
-    return np.bincount(2 * outcomes + alice_basis, minlength=2 * _N_OUTCOMES)
+def _tally(alice_basis: np.ndarray, outcomes: np.ndarray, weights=None) -> np.ndarray:
+    """Counts of outcome x transmitter basis, flattened with basis fastest;
+    ``weights`` gives how many slots each row stands for (one by default)."""
+    counts = np.bincount(2 * outcomes + alice_basis, weights, minlength=2 * _N_OUTCOMES)
+    return counts.astype(np.int64, copy=False)
 
 
 def _sift_result(counts: np.ndarray, n_pulses: int, key_basis: str) -> SiftResult:
@@ -349,7 +359,13 @@ def sift(
     Records are (slot, basis, bit) and (slot, detector labels); slot ids must
     match pairwise. Slots with no click are ignored and the clicked ones go
     through :func:`classify`. ``n_pulses`` defaults to the record count,
-    which is only right when every slot is present.
+    which is only right when every slot is present; it must be a whole number.
+
+    Cost: one validating Python pass maps each record to its (basis, bit,
+    detectors) kind, and ``classify`` runs once per distinct kind, weighted
+    by how often the kind occurs. Under the ``random`` policy it runs once
+    more over the double-click records, in record order, so the generator
+    draws the same bits as a record-by-record pass.
     """
     if key_basis not in BASIS_STATES:
         raise ValidationError(f"unknown key basis {key_basis!r}")
@@ -357,20 +373,31 @@ def sift(
     bob = list(bob_records)
     if len(alice) != len(bob):
         raise ValidationError("transmitter and receiver record counts differ")
-    if n_pulses is not None and n_pulses < len(alice):
-        raise ValidationError("n_pulses cannot undercount the supplied records")
+    if n_pulses is None:
+        n_pulses = len(alice)
+    else:
+        try:
+            whole = n_pulses == int(n_pulses)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValidationError(f"n_pulses must be a whole number, got {n_pulses!r}")
+        if n_pulses < len(alice):
+            raise ValidationError("n_pulses cannot undercount the supplied records")
     # Records repeat a few dozen (basis, bit, detections) kinds: each kind is
     # checked when first met, so the first malformed record raises, and every
     # record becomes the index of its kind.
     kinds: dict[tuple, int] = {}
     rows: list[tuple[int, int, int]] = []
     codes: list[int] = []
+    kind_of = kinds.get
+    append = codes.append
     for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
         if slot_a != slot_b:
             raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
         key = (basis, bit, detections)
         try:
-            code = kinds.get(key)
+            code = kind_of(key)
         except TypeError:  # an unhashable field, such as a list of labels
             code = key = None
         if code is None:
@@ -378,14 +405,36 @@ def sift(
             rows.append(_record_kind(slot_a, basis, bit, detections))
             if key is not None:
                 kinds[key] = code
-        codes.append(code)
-    table = np.array(rows, dtype=np.int64).reshape(-1, 3)[np.array(codes, dtype=np.intp)]
-    table = table[table[:, 2] != 0]
-    alice_basis = table[:, 0]
-    clicks = (table[:, 2:] & _FLAGS) != 0
-    outcomes = classify(alice_basis, table[:, 1], clicks, policy, rng)
-    counts = _tally(alice_basis, outcomes)
-    return _sift_result(counts, len(alice) if n_pulses is None else n_pulses, key_basis)
+        append(code)
+    _check_policy(policy)
+    codes = np.array(codes, dtype=np.intp)
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    clicked = table[:, 2] != 0
+    alice_basis = table[clicked, 0]
+    clicks = (table[clicked, 2:] & _FLAGS) != 0
+    outcomes = classify(alice_basis, table[clicked, 1], clicks, "discard", None)
+    counts = _tally(alice_basis, outcomes, np.bincount(codes, minlength=len(rows))[clicked])
+    if policy == "random" and (outcomes == DOUBLE).any():
+        # Resolve the double clicks record by record, in record order.
+        double = np.zeros(len(rows), dtype=bool)
+        double[np.flatnonzero(clicked)[outcomes == DOUBLE]] = True
+        table = table[codes[double[codes]]]
+        clicks = (table[:, 2:] & _FLAGS) != 0
+        resolved = classify(table[:, 0], table[:, 1], clicks, policy, rng)
+        counts[2 * DOUBLE : 2 * DOUBLE + 2] = 0
+        counts += _tally(table[:, 0], resolved)
+    return _sift_result(counts, n_pulses, key_basis)
+
+
+def _slot_records(
+    slots: np.ndarray, basis_idx: np.ndarray, bits: np.ndarray, clicks: np.ndarray
+) -> list[SlotRecord]:
+    """One record per clicked slot, built from Python lists of the columns."""
+    masks = (clicks @ _FLAGS).tolist()
+    return [
+        SlotRecord(slot, _BASIS_LABELS[basis], bit, _MASK_LABELS[mask])
+        for slot, basis, bit, mask in zip(slots.tolist(), basis_idx.tolist(), bits.tolist(), masks)
+    ]
 
 
 def _category(rng: np.random.Generator, weights, size: int) -> np.ndarray:
@@ -535,16 +584,7 @@ def run_session(
             windows[:, 1] += np.bincount(win_idx[wrong], minlength=n_windows)
 
         if record_slots:
-            for i in range(k):
-                dets = tuple(DETECTOR_ORDER[d] for d in np.flatnonzero(clicks[i]))
-                records.append(
-                    SlotRecord(
-                        slot=int(slots[i]),
-                        alice_basis=_BASIS_LABELS[int(basis_idx[i])],
-                        alice_bit=int(bits[i]),
-                        detections=dets,
-                    )
-                )
+            records += _slot_records(slots, basis_idx, bits, clicks)
 
     return SessionResult(
         sift=_sift_result(counts, n_pulses, config.key_basis),

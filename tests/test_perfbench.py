@@ -5,6 +5,9 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
+from fiberqkd import protocol
 from fiberqkd.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,3 +57,27 @@ def test_traced_session_and_pmd_calls_fire_every_predicted_span(tmp_path, capsys
     silent = sorted(f"{span}.{field}" for span, field in predicted
                     if not per_span.get(span, {}).get(field, 0) > 0)
     assert silent == []
+
+
+def test_traced_offline_sift_counts_its_records():
+    """One offline sift, as the analysis workload calls it, fires the
+    ``protocol.sift`` span with the number of records it was given."""
+    tracing, worker = _load("tracing"), _load("worker")
+    assert ("protocol.sift", "records") in {
+        (span, field) for span, field, _, workloads in worker.LAYERS if "analysis" in workloads
+    }
+    rng = np.random.default_rng(3)
+    labels = [(), ("D",), ("A",), ("L",), ("R",), ("D", "A"), ("D", "L")]
+    alice = [(slot, ("DA", "LR")[rng.integers(2)], int(rng.integers(2))) for slot in range(500)]
+    bob = [(slot, labels[rng.integers(len(labels))]) for slot in range(500)]
+    untraced = protocol.sift(alice, bob, policy="discard", n_pulses=1_000)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = protocol.sift(alice, bob, policy="discard", n_pulses=1_000)
+    finally:
+        tracer.uninstall()
+    per_span, _ = tracer.summary()
+    assert traced == untraced
+    assert per_span["protocol.sift"]["calls"] == 1
+    assert per_span["protocol.sift"]["records"] == len(alice)

@@ -1,13 +1,18 @@
 """Session engine: patterns, sifting rules, closed-form rates, Monte Carlo."""
 
+import json
 from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from fiberqkd import protocol
 from fiberqkd.channel import FiberChannel, FiberSegment, apply_channel_rows
+from fiberqkd.config import bundled_scenario_path, load_scenario
 from fiberqkd.documents import read_pattern
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
 from fiberqkd.errors import ValidationError
@@ -306,6 +311,40 @@ def test_sift_n_pulses_override():
     res = sift(ALICE, BOB, n_pulses=1000)
     assert res.n_pulses == 1000
     assert res.n_sifted == 4
+    for whole in (1000.0, np.int64(1000), np.float64(1000.0)):
+        assert sift(ALICE, BOB, n_pulses=whole) == res
+
+
+@pytest.mark.parametrize("n_pulses", [float("nan"), float("inf"), -float("inf"), 2.5, 1e3 + 0.5,
+                                      "1000"])
+def test_sift_n_pulses_must_be_a_whole_number(n_pulses):
+    with pytest.raises(ValidationError, match="n_pulses must be a whole number"):
+        sift(ALICE, BOB, n_pulses=n_pulses)
+
+
+# (basis, bit, detector labels, labels given as a list) of one record
+record_kinds = st.tuples(st.sampled_from(("DA", "LR")), st.integers(0, 1),
+                         st.sampled_from([(), *CLICK_SETS]), st.booleans())
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(record_kinds, max_size=120), seed=st.integers(0, 2**32 - 1))
+def test_sift_equals_the_reference_on_any_records(policy, kinds, seed):
+    """Records given as generators, with some labels as lists, sift to the
+    reference counts and consume the same generator draws."""
+    alice = [(slot, basis, bit) for slot, (basis, bit, _, _) in enumerate(kinds)]
+    bob = [(slot, list(labels) if listed else labels)
+           for slot, (_, _, labels, listed) in enumerate(kinds)]
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = sift(iter(alice), (record for record in bob), policy=policy, rng=rng)
+    c = reference_sift_counts(alice, bob, policy, reference)
+    assert (res.kept_da, res.errors_da, res.kept_lr, res.errors_lr) == (
+        c[KEPT, 0] + c[ERROR, 0], c[ERROR, 0], c[KEPT, 1] + c[ERROR, 1], c[ERROR, 1])
+    assert (res.n_basis_mismatch, res.n_double_discarded, res.n_cross_discarded) == (
+        c[MISMATCH].sum(), c[DOUBLE].sum(), c[CROSS].sum())
+    assert (res.n_detections, res.n_pulses) == (c.sum(), len(kinds))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # ------------------------------------------------------- scalar reference
@@ -549,6 +588,48 @@ def every_slot_clicks_config(**overrides):
 def test_run_session_when_every_slot_clicks():
     result = run_session(every_slot_clicks_config(), 1_000, seed=3, record_slots=True)
     assert [r.slot for r in result.records] == list(range(1_000))
+
+
+def event_heavy_config(policy):
+    """The deployed link without calibration, bright and noisy: about a
+    quarter of slots click and most click sets occur."""
+    doc = json.loads(bundled_scenario_path("deployed-3p5km").read_text())
+    del doc["calibration"]
+    doc["device"].update(r_c=0.5, p_dark=2e-3, l_a=0.0, l_b=0.0, eta_det=0.6)
+    doc["channel"]["l_c"] = 1.0
+    doc["receiver"]["double_click_policy"] = policy
+    return load_scenario(doc).config
+
+
+def per_row_records(slots, basis_idx, bits, clicks):
+    """Records of one batch of clicked slots, built one row at a time."""
+    return [
+        SlotRecord(
+            slot=int(slots[i]),
+            alice_basis=("DA", "LR")[int(basis_idx[i])],
+            alice_bit=int(bits[i]),
+            detections=tuple(DETECTOR_ORDER[d] for d in np.flatnonzero(clicks[i])),
+        )
+        for i in range(slots.size)
+    ]
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+def test_run_session_records_equal_the_per_row_construction(policy, monkeypatch):
+    batches = []
+    slot_records = protocol._slot_records
+
+    def spy(*columns):
+        batches.append((slot_records(*columns), per_row_records(*columns)))
+        return batches[-1][0]
+
+    monkeypatch.setattr(protocol, "_slot_records", spy)
+    result = run_session(event_heavy_config(policy), 100_000, seed=4, record_slots=True)
+    assert batches and all(built == per_row for built, per_row in batches)
+    assert result.records == tuple(r for built, _ in batches for r in built)
+    assert len(result.records) > 20_000
+    assert len({r.detections for r in result.records}) >= 10
+    assert {(type(r.slot), type(r.alice_bit)) for r in result.records} == {(int, int)}
 
 
 def test_run_session_pattern_bit_order():
