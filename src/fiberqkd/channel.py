@@ -8,6 +8,13 @@ normalized to the identity by construction and only the frequency dependence
 survives. A single segment reproduces pure first-order PMD; a cascade of
 randomly oriented segments adds the higher orders.
 
+Cost model: propagation (:func:`apply_channel_rows`) makes one
+:func:`~fiberqkd.polarization.rotate_rows` call per block of rows, which runs
+the whole cascade on preallocated buffers, and evaluates the trig once per
+distinct segment delay. The kernel's one matrix-vector dot per segment, on
+the (n, 3) C-order state, fixes the bits; every other step is elementwise.
+Synthesis draws all segment axes in one generator call.
+
 Wavelengths are in nm, delay in ps, so detunings come out in rad/ps.
 """
 
@@ -25,7 +32,7 @@ from .polarization import (
     cross,
     normalize,
     perpendicular_unit,
-    random_unit,
+    random_units,
     require_unit,
     rotate_rows,
     rotation_taking,
@@ -43,7 +50,7 @@ def delta_omega(wavelength_nm, reference_nm: float):
     an array gives the array of its detunings.
     """
     lam = np.asarray(wavelength_nm, dtype=float)
-    if np.any(lam <= 0.0) or reference_nm <= 0.0:
+    if (lam <= 0.0).any() or reference_nm <= 0.0:
         raise ValidationError("wavelengths must be positive")
     return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / lam - 1.0 / reference_nm)
 
@@ -65,8 +72,10 @@ class FiberSegment:
 
     def __post_init__(self):
         require_unit(self.axis, "segment axis")
-        if not self.dgd_ps >= 0.0:
-            raise ValidationError("segment delay must be non-negative")
+        if not 0.0 <= self.dgd_ps < math.inf:
+            raise ValidationError(
+                f"segment delay must be finite and non-negative, got {self.dgd_ps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,28 +104,38 @@ _BLOCK_ROWS = 1 << 14
 def apply_channel_rows(states: np.ndarray, channel: FiberChannel, wavelengths_nm) -> np.ndarray:
     """Vectorized propagation: row i of ``states`` goes through at wavelength i.
 
-    The cascade runs over blocks of ``_BLOCK_ROWS`` rows, and within a block
-    the cosine and sine of ``dgd * delta_omega`` are evaluated once for each
-    distinct segment delay. Rows are independent, so neither changes a bit.
+    Cost model: the cascade runs over blocks of ``_BLOCK_ROWS`` rows with one
+    :func:`rotate_rows` call per block, which takes every segment at once.
+    Within a block the cosine and sine of ``dgd * delta_omega`` are evaluated
+    once per distinct segment delay, so a synthesized channel, whose segments
+    all share one delay, pays for one cosine and one sine. Rows are
+    independent, so neither the blocks nor the shared trig change a bit.
     """
-    out = np.array(states, dtype=float)
+    states = np.asarray(states, dtype=float)
     lam = np.asarray(wavelengths_nm, dtype=float)
-    if lam.shape != out.shape[:1]:
+    if lam.shape != states.shape[:1]:
         raise ValidationError("need one wavelength per state row")
     dw = delta_omega(lam, channel.reference_nm)
-    axes = [np.array(seg.axis) for seg in channel.segments]
-    for start in range(0, len(out), _BLOCK_ROWS):
-        block = out[start : start + _BLOCK_ROWS]
-        w = dw[start : start + _BLOCK_ROWS]
+    delays = [seg.dgd_ps for seg in channel.segments]
+    axes = np.array([seg.axis for seg in channel.segments], dtype=float).reshape(-1, 3)
+    blocks = []
+    for start in range(0, max(len(states), 1), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        w = dw[block]
         trig = {}
-        for seg, axis in zip(channel.segments, axes):
-            if seg.dgd_ps not in trig:
-                angle = seg.dgd_ps * w
-                trig[seg.dgd_ps] = (np.cos(angle), np.sin(angle))
-            block = rotate_rows(block, axis, *trig[seg.dgd_ps])
-        out[start : start + _BLOCK_ROWS] = block
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    return out / norms
+        for dgd in delays:
+            if dgd not in trig:
+                angle = dgd * w
+                trig[dgd] = (np.cos(angle), np.sin(angle))
+        if len(trig) == 1:
+            (c, s), = trig.values()
+        else:
+            c, s = (np.array([trig[dgd][i] for dgd in delays]) for i in (0, 1))
+        blocks.append(rotate_rows(states[block], axes, c, s))
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    # The arithmetic of np.linalg.norm(out, axis=1), without its dispatch.
+    out /= np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+    return out
 
 
 def first_order_pmd(channel: FiberChannel) -> PmdVector:
@@ -125,10 +144,17 @@ def first_order_pmd(channel: FiberChannel) -> PmdVector:
     With every segment rotation zero at the reference, the first-order vector
     is the plain sum of the segment delay vectors.
     """
-    total = np.zeros(3)
-    for seg in channel.segments:
-        total += seg.dgd_ps * np.array(seg.axis)
-    dgd = float(np.linalg.norm(total))
+    delays = np.array([seg.dgd_ps for seg in channel.segments])
+    axes = np.array([seg.axis for seg in channel.segments]).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # Reducing over the rows adds them one after another, as a loop would.
+        total = np.add.reduce(delays[:, None] * axes, axis=0)
+        dgd = float(np.linalg.norm(total))
+    if not math.isfinite(dgd):
+        raise ValidationError(
+            "channel first-order delay overflows: the segment delay vectors sum past "
+            "the float range"
+        )
     if dgd == 0.0:
         return PmdVector(axis=(1.0, 0.0, 0.0), dgd_ps=0.0)
     return PmdVector(axis=tuple(total / dgd), dgd_ps=dgd)
@@ -147,7 +173,8 @@ def synthesize_channel(
     Segment axes are isotropic and every segment carries the same delay
     ``pmd_param * sqrt(length) / sqrt(n_segments)``; the vector sum then
     performs a 3-d random walk whose RMS length is ``pmd_param * sqrt(length)``
-    independent of the segment count.
+    independent of the segment count. The axes come from one draw of the
+    seeded generator (:func:`random_units`).
     """
     if not pmd_param_ps_per_sqrt_km >= 0.0:
         raise ValidationError("PMD parameter must be non-negative")
@@ -157,12 +184,14 @@ def synthesize_channel(
         raise ValidationError("need at least one segment")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    per_segment = pmd_param_ps_per_sqrt_km * np.sqrt(length_km) / np.sqrt(n_segments)
-    segments = tuple(
-        FiberSegment(axis=tuple(random_unit(rng)), dgd_ps=float(per_segment))
-        for _ in range(n_segments)
-    )
+    per_segment = pmd_param_ps_per_sqrt_km * math.sqrt(length_km) / math.sqrt(n_segments)
+    if per_segment == math.inf:
+        raise ValidationError(
+            f"channel segment delay overflows: PMD parameter {pmd_param_ps_per_sqrt_km} "
+            f"ps/sqrt(km) over {length_km} km"
+        )
+    axes = random_units(np.random.default_rng(seed), n_segments)
+    segments = tuple(FiberSegment(axis=tuple(a), dgd_ps=per_segment) for a in axes)
     return FiberChannel(
         segments=segments, loss_db=loss_db, length_km=length_km, reference_nm=reference_nm
     )
@@ -191,7 +220,8 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     norms = np.array([math.sqrt(p.dot(p)) for p in turned])
     turned /= norms[:, None]
     rotated = tuple(
-        replace(seg, axis=tuple(p)) for seg, p in zip(channel.segments, turned)
+        FiberSegment(axis=tuple(p), dgd_ps=seg.dgd_ps)
+        for seg, p in zip(channel.segments, turned)
     )
     return replace(channel, segments=rotated)
 

@@ -135,27 +135,87 @@ def rotate(state, axis, angle: float) -> np.ndarray:
     return _rodrigues(require_unit(state, "state"), require_unit(axis, "axis"), angle)
 
 
-def rotate_rows(points: np.ndarray, axis: np.ndarray, c, s) -> np.ndarray:
-    """Rodrigues rotation of each row of ``points`` by its own angle.
+def _unit_rows(axes) -> np.ndarray:
+    """``axes`` as an (m, 3) float table, after checking each row is a finite unit vector.
 
-    ``points`` is (n, 3), ``axis`` a single unit 3-vector, and ``c`` and
-    ``s`` the cosine and sine of the rotation angles, scalar or length n.
-    Taking them rather than the angles lets a caller that applies one angle
-    about several axes evaluate the trig once. No renormalization; callers
-    that chain many segments should renormalize once at the end.
-
-    The cross product ``a x p`` is written out per column, the arithmetic of
-    :func:`cross` applied to every row at once.
+    A single 3-vector is the one-row table. Each norm is taken in scalar
+    arithmetic, as in :func:`require_unit`, and a NaN norm fails the check.
     """
-    a = require_unit(axis, "axis")
-    k = (points @ a) * (1.0 - c)
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    a0, a1, a2 = a
-    out = np.empty(points.shape)
-    out[:, 0] = x * c + (a1 * z - a2 * y) * s + a0 * k
-    out[:, 1] = y * c + (a2 * x - a0 * z) * s + a1 * k
-    out[:, 2] = z * c + (a0 * y - a1 * x) * s + a2 * k
-    return out
+    try:
+        arr = np.asarray(axes, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"axis must be a numeric (m, 3) table, got {axes!r}") from None
+    if arr.ndim == 1:
+        arr = arr[None]
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError(f"axis must be an (m, 3) table, got shape {arr.shape}")
+    for i, (x, y, z) in enumerate(arr.tolist()):
+        norm = math.sqrt(x * x + y * y + z * z)
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+            raise ValidationError(f"axis {i} must be unit length, got |v| = {norm:.12g}")
+    return arr
+
+
+def _segment_rows(v: np.ndarray, m: int):
+    """Segment j's row of ``v``, broadcast to (m, n), at index j.
+
+    A scalar, a length-n array or a one-row table is one row that every
+    segment shares.
+    """
+    if v.ndim == 2 and len(v) == m:
+        return v
+    if v.ndim > 2 or v.ndim == 2 and len(v) != 1:
+        raise ValidationError(f"need one row of angles per axis, got shape {v.shape} for {m}")
+    return [v.reshape(-1)] * m
+
+
+def rotate_rows(points: np.ndarray, axes, c, s) -> np.ndarray:
+    """Rodrigues rotation of each row of ``points`` through a cascade of axes.
+
+    ``points`` is (n, 3) and ``axes`` an (m, 3) table of unit axes, applied
+    in order; a single axis is the one-row table. ``c`` and ``s`` are the
+    cosines and sines of the rotation angles and broadcast to (m, n): a
+    scalar or a length-n row is shared by every segment, and so is its
+    ``1 - c``. Taking them rather than the angles lets a caller evaluate the
+    trig once per distinct angle. No renormalization; callers should
+    renormalize once at the end.
+
+    Cost model: the table is checked once, then each segment costs 11 numpy
+    calls into buffers allocated once per call, whatever ``n``. Every element keeps the
+    arithmetic of one Rodrigues step, ``x c + (a1 z - a2 y) s + a0 k`` with
+    ``k = (p . a)(1 - c)``, the cross product written out per column as in
+    :func:`cross`. The dot ``p . a`` is the BLAS matrix-vector product of
+    the (n, 3) C-order state, so the state keeps that layout and the
+    elementwise steps run on its transposed view: an elementwise or
+    transposed dot sums in another order and moves the last bits.
+    """
+    a = _unit_rows(axes)
+    p = np.array(points, dtype=float, order="C")
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValidationError(f"points must be an (n, 3) array, got shape {p.shape}")
+    n, m = p.shape[0], len(a)
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    c, s, w = _segment_rows(c, m), _segment_rows(s, m), _segment_rows(1.0 - c, m)
+    scratch = np.empty((7, n))
+    t, u, k = scratch[:3], scratch[3:6], scratch[6]
+    t12, u01, tu = t[1:], u[:2], scratch[0:6:5]
+    pt = p.T
+    rows = zip(a[:, 1].tolist(), a, a[:, 2::-2, None], a[:, :, None])
+    for j, (a1, aj, a20, col) in enumerate(rows):
+        np.matmul(p, aj, out=k)
+        k *= w[j]
+        np.multiply(pt[2::-2], a1, out=tu)  # t[0] = a1 z, u[2] = a1 x
+        np.multiply(pt[:2], a20, out=t12)  # t[1:] = (a2 x, a0 y)
+        np.multiply(pt[1:], a20, out=u01)  # u[:2] = (a2 y, a0 z)
+        t -= u
+        t *= s[j]
+        np.multiply(pt, c[j], out=u)
+        u += t
+        np.multiply(col, k, out=t)
+        # Every read of the state comes before this one write, so the
+        # cascade runs in place on the copy of the points.
+        np.add(u, t, out=pt)
+    return p
 
 
 def perpendicular_unit(vec) -> np.ndarray:
@@ -183,13 +243,22 @@ def rotation_taking(src, dst) -> tuple[np.ndarray, float]:
     return axis / sin_norm, float(np.arctan2(sin_norm, c))
 
 
-def random_unit(rng: np.random.Generator) -> np.ndarray:
-    """Isotropically distributed unit vector."""
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            return v / norm
+def random_units(rng: np.random.Generator, m: int) -> np.ndarray:
+    """``m`` isotropically distributed unit vectors, as an (m, 3) array.
+
+    Row i is the i-th draw of three normals whose norm exceeds 1e-12; a draw
+    at the origin is replaced by the next three normals. The normals come
+    from one ``rng.normal`` call (and one more per round of replacements),
+    the stream that m calls of three would use. Each row's norm is
+    ``sqrt(v . v)`` with numpy's dot, the bits of ``np.linalg.norm(v)``.
+    """
+    units = np.empty((0, 3))
+    while len(units) < m:
+        draws = rng.normal(size=(m - len(units), 3))
+        norms = np.array([math.sqrt(v.dot(v)) for v in draws])
+        keep = norms > 1e-12
+        units = np.concatenate((units, draws[keep] / norms[keep][:, None]))
+    return units
 
 
 @dataclass(frozen=True)

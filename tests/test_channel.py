@@ -1,5 +1,8 @@
 """Fiber model: detuning, concatenated birefringence, arc fitting, DGD recovery."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,21 +28,25 @@ from fiberqkd.channel import (
     synthesize_channel,
 )
 from fiberqkd.cli import main as cli_main
-from fiberqkd.config import load_scenario
+from fiberqkd.config import bundled_scenario_path, load_scenario
 from fiberqkd.documents import read_float_table
 from fiberqkd.emitter import SPECTRUM_SHAPES, EmitterSpectrum
 from fiberqkd.errors import ValidationError
 from fiberqkd.polarization import (
     PROTOCOL_STATES,
     _rodrigues,
-    random_unit,
     require_unit,
     rotate,
     rotate_rows,
     rotation_taking,
     stokes_of,
 )
-from test_polarization import _perpendicular_unit_cross, _rotate_cross
+from test_polarization import (
+    _perpendicular_unit_cross,
+    _rotate_cross,
+    random_unit,
+    rotate_rows_one_axis,
+)
 
 
 def single_segment(dgd_ps=0.117, axis=(1.0, 0.0, 0.0), reference_nm=1310.0):
@@ -117,6 +124,33 @@ def _unblocked_channel_rows(states, channel, wavelengths_nm):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
+def _channel_rows_per_segment(states, channel, wavelengths_nm):
+    """apply_channel_rows as it was: blocks, trig once per distinct delay, and
+    one single-axis rotation call per segment."""
+    out = np.array(states, dtype=float)
+    dw = delta_omega(np.asarray(wavelengths_nm, dtype=float), channel.reference_nm)
+    for start in range(0, len(out), _BLOCK_ROWS):
+        block = out[start : start + _BLOCK_ROWS]
+        w = dw[start : start + _BLOCK_ROWS]
+        trig = {}
+        for seg in channel.segments:
+            if seg.dgd_ps not in trig:
+                angle = seg.dgd_ps * w
+                trig[seg.dgd_ps] = (np.cos(angle), np.sin(angle))
+            block = rotate_rows_one_axis(block, np.array(seg.axis), *trig[seg.dgd_ps])
+        out[start : start + _BLOCK_ROWS] = block
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    return out / norms
+
+
+def _synthesized_per_segment(pmd_param, length_km, n_segments, seed):
+    """synthesize_channel's segments as they were drawn: three normals per segment."""
+    rng = np.random.default_rng(seed)
+    per_segment = pmd_param * np.sqrt(length_km) / np.sqrt(n_segments)
+    return tuple(FiberSegment(axis=tuple(random_unit(rng)), dgd_ps=float(per_segment))
+                 for _ in range(n_segments))
+
+
 def _mixed_delay_channel():
     """Spelled-out segments whose delays are partly repeated, partly distinct."""
     rng = np.random.default_rng(17)
@@ -152,6 +186,70 @@ def test_blocked_channel_rows_equal_unblocked_for_any_row_count(n_rows, seed):
                           _unblocked_channel_rows(states, channel, lam))
 
 
+_CASCADE_CHANNELS = {
+    "deployed": lambda: load_scenario("deployed-3p5km").config.channel,
+    "spool": lambda: load_scenario("spool-32p5km").config.channel,
+    "mixed-delays": _mixed_delay_channel,
+    "one-segment": lambda: single_segment(axis=(0.6, 0.0, 0.8), reference_nm=1309.5),
+    "no-segments": lambda: FiberChannel(segments=(), loss_db=0.0, length_km=1.0,
+                                        reference_nm=1309.5),
+}
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", list(_CASCADE_CHANNELS))
+def test_channel_rows_equal_the_per_segment_cascade(name, n_rows):
+    channel = _CASCADE_CHANNELS[name]()
+    states, lam = _random_rows(n_rows, seed=n_rows + 3)
+    out = apply_channel_rows(states, channel, lam)
+    assert out.shape == (n_rows, 3)
+    assert np.array_equal(out, _channel_rows_per_segment(states, channel, lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(0, 400),
+    delays=st.lists(st.sampled_from([0.0, 0.011, 0.05, 0.3, 2.5]), min_size=1, max_size=25),
+    reference_nm=st.floats(1290.0, 1330.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_rows_equal_the_per_segment_cascade_on_any_channel(
+    n_rows, delays, reference_nm, seed
+):
+    rng = np.random.default_rng(seed)
+    segments = tuple(FiberSegment(axis=tuple(random_unit(rng)), dgd_ps=d) for d in delays)
+    channel = FiberChannel(segments=segments, loss_db=0.0, length_km=1.0,
+                           reference_nm=reference_nm)
+    states, lam = _random_rows(n_rows, seed)
+    assert np.array_equal(apply_channel_rows(states, channel, lam),
+                          _channel_rows_per_segment(states, channel, lam))
+
+
+@pytest.mark.parametrize("n_segments", [1, 2, 20, 31])
+def test_synthesized_segments_equal_the_per_segment_draws(n_segments):
+    for seed in range(30):
+        channel = synthesize_channel(0.46, 3.5, n_segments, seed=seed)
+        reference = _synthesized_per_segment(0.46, 3.5, n_segments, seed)
+        assert channel.segments == reference
+        for seg, ref in zip(channel.segments, reference):
+            assert [type(x) for x in seg.axis] == [type(x) for x in ref.axis]
+            assert type(seg.dgd_ps) is type(ref.dgd_ps)
+
+
+@pytest.mark.parametrize("name", ["deployed-3p5km", "spool-32p5km"])
+def test_bundled_channels_equal_the_per_segment_synthesis(name):
+    spec = json.loads(bundled_scenario_path(name).read_text())["channel"]
+    s = spec["synthesize"]
+    reference = FiberChannel(
+        segments=_synthesized_per_segment(s["pmd_param"], s["length_km"], s["n_segments"],
+                                          s["seed"]),
+        loss_db=spec["l_c"], length_km=s["length_km"], reference_nm=spec["reference_nm"],
+    )
+    if "align_first_order_axis_to" in spec:
+        reference = align_first_order_axis(reference, spec["align_first_order_axis_to"])
+    assert load_scenario(name).config.channel == reference
+
+
 def test_apply_channel_rows_needs_one_wavelength_per_row():
     ch = single_segment()
     with pytest.raises(ValidationError):
@@ -166,6 +264,42 @@ def test_first_order_pmd_is_segment_vector_sum():
     assert isinstance(fo, PmdVector)
     assert fo.dgd_ps == pytest.approx(0.5, rel=1e-12)
     assert np.allclose(fo.axis, (0.6, 0.8, 0.0), atol=1e-12)
+
+
+def test_first_order_pmd_equals_the_segment_by_segment_sum():
+    """The vector sum over the rows of the delay table has the bits of a loop
+    that adds one segment after another."""
+    rng = np.random.default_rng(12)
+    for seed in range(200):
+        n = int(rng.integers(1, 64))
+        channel = synthesize_channel(0.46, 3.5, n, seed=seed)
+        if seed % 2:  # own delays per segment
+            segments = tuple(FiberSegment(axis=seg.axis, dgd_ps=float(d))
+                             for seg, d in zip(channel.segments, rng.uniform(0.0, 2.0, n)))
+            channel = FiberChannel(segments=segments, loss_db=0.0, length_km=1.0,
+                                   reference_nm=1310.0)
+        total = np.zeros(3)
+        for seg in channel.segments:
+            total += seg.dgd_ps * np.array(seg.axis)
+        dgd = float(np.linalg.norm(total))
+        assert first_order_pmd(channel) == PmdVector(axis=tuple(total / dgd), dgd_ps=dgd)
+
+
+@pytest.mark.parametrize("dgd_ps", [math.inf, -0.1, math.nan])
+def test_segment_delay_must_be_finite_and_non_negative(dgd_ps):
+    with pytest.raises(ValidationError, match="segment delay must be finite and non-negative"):
+        FiberSegment(axis=(1.0, 0.0, 0.0), dgd_ps=dgd_ps)
+
+
+def test_an_overflowing_first_order_delay_is_refused():
+    segs = (FiberSegment(axis=(0.0, 1.0, 0.0), dgd_ps=1e308),) * 2
+    ch = FiberChannel(segments=segs, loss_db=0.0, length_km=1.0, reference_nm=1310.0)
+    with pytest.raises(ValidationError, match="channel first-order delay overflows"):
+        first_order_pmd(ch)
+    with pytest.raises(ValidationError, match="channel first-order delay overflows"):
+        align_first_order_axis(synthesize_channel(1e200, 3.5, 20, seed=14), "D")
+    with pytest.raises(ValidationError, match="channel segment delay overflows"):
+        synthesize_channel(1e308, 3.5, 20, seed=14)
 
 
 def test_synthesize_channel_segment_statistics():

@@ -432,6 +432,35 @@ def test_exit_code_one_on_malformed_channel(tmp_path, capsys, edit):
     assert "error:" in capsys.readouterr().err
 
 
+def _two_parallel_segments(dgd_ps):
+    def edit(doc):
+        _one_segment_channel(doc, {"axis": [0.0, 1.0, 0.0], "dgd_ps": dgd_ps})
+        doc["channel"]["segments"] *= 2
+        doc["channel"]["align_first_order_axis_to"] = "D"
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_synthesize("pmd_param", 1e200), "channel first-order delay overflows"),
+    (_set_synthesize("pmd_param", 1e308), "channel segment delay overflows"),
+    (_two_parallel_segments(1e308), "channel first-order delay overflows"),
+], ids=["pmd_param-1e200", "pmd_param-1e308", "two-segments-1e308"])
+def test_exit_code_one_on_an_overflowing_first_order_delay(tmp_path, capsys, edit, message):
+    """A channel whose delays sum past the float range is refused with one
+    error line that names the channel; no numpy overflow warning escapes."""
+    doc = _deployed_doc()
+    edit(doc)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["simulate", "--seed", "1", "--pulses", "1000"], ["pmd", "sweep"],
+                 ["optimize", "--duration", "60"]):
+        assert run_cli(*argv, "--scenario", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
+
 def _with(value, *keys):
     def edit(doc):
         node = doc

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 
+from fiberqkd import channel as channel_mod
 from fiberqkd import protocol
 from fiberqkd.cli import main
 
@@ -81,3 +82,29 @@ def test_traced_offline_sift_counts_its_records():
     assert traced == untraced
     assert per_span["protocol.sift"]["calls"] == 1
     assert per_span["protocol.sift"]["records"] == len(alice)
+
+
+def test_traced_session_propagates_each_block_in_one_kernel_call(capsys):
+    """On the session-sparse call, ``polarization.rotate_rows`` fires once per
+    ``channel.apply_channel_rows`` block (one block each for the rate
+    quadrature and the clicked photons), on every row propagated."""
+    tracing, worker = _load("tracing"), _load("worker")
+    assert {("polarization.rotate_rows", "calls"), ("polarization.rotate_rows", "rows")} <= {
+        (span, field) for span, field, _, workloads in worker.LAYERS
+        if "session-sparse" in workloads
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["simulate", "--scenario", "deployed-3p5km", "--seed", "2",
+                     "--pulses", "10000000", "--window-s", "0.0125"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    per_span, _ = tracer.summary()
+    kernel, channel = per_span["polarization.rotate_rows"], per_span["channel.apply_channel_rows"]
+    assert channel["calls"] == 2
+    assert channel["rows"] < channel["calls"] * channel_mod._BLOCK_ROWS  # one block each
+    assert kernel["calls"] == channel["calls"]
+    assert kernel["rows"] == channel["rows"]

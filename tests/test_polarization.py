@@ -16,13 +16,26 @@ from fiberqkd.polarization import (
     normalize,
     perpendicular_unit,
     phase_to_state,
-    random_unit,
+    random_units,
     require_unit,
     rotate,
     rotate_rows,
     rotation_taking,
     stokes_of,
 )
+
+
+def random_unit(rng: np.random.Generator) -> np.ndarray:
+    """One isotropic unit vector, three normals at a time, as each segment was once drawn.
+
+    The reference for :func:`random_units`: a draw at the origin is redrawn
+    from the next three normals.
+    """
+    while True:
+        v = rng.normal(size=3)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-12:
+            return v / norm
 
 
 def test_cardinal_states_are_unit_and_antipodal():
@@ -328,8 +341,139 @@ def test_rotation_error_messages(call, message):
 
 
 def test_random_unit_is_roughly_isotropic():
-    rng = np.random.default_rng(19)
-    pts = np.array([random_unit(rng) for _ in range(4000)])
+    pts = random_units(np.random.default_rng(19), 4000)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # resultant of isotropic draws scales like sqrt(n): 4000 draws stay small
     assert np.linalg.norm(pts.mean(axis=0)) < 0.05
+
+
+def rotate_rows_one_axis(points, axis, c, s):
+    """One Rodrigues step about one axis, the per-segment rotate_rows of old.
+
+    The reference for the cascade kernel: chained once per segment, it gives
+    the bits :func:`rotate_rows` must give for the whole table.
+    """
+    a = require_unit(axis, "axis")
+    k = (points @ a) * (1.0 - c)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    a0, a1, a2 = a
+    out = np.empty(points.shape)
+    out[:, 0] = x * c + (a1 * z - a2 * y) * s + a0 * k
+    out[:, 1] = y * c + (a2 * x - a0 * z) * s + a1 * k
+    out[:, 2] = z * c + (a0 * y - a1 * x) * s + a2 * k
+    return out
+
+
+def rotate_rows_per_segment(points, axes, c, s):
+    """The cascade as one ``rotate_rows_one_axis`` call per segment."""
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    out = np.array(points, dtype=float)
+    for j, axis in enumerate(axes):
+        cj = c[j if len(c) > 1 else 0] if c.ndim == 2 else c
+        sj = s[j if len(s) > 1 else 0] if s.ndim == 2 else s
+        out = rotate_rows_one_axis(out, axis, cj, sj)
+    return out
+
+
+def _cascade_inputs(rng, n, m, shared):
+    points = rng.normal(size=(n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    axes = np.array([random_unit(rng) for _ in range(m)])
+    angles = rng.uniform(-30.0, 30.0, size=(1 if shared else m, n))
+    return points, axes, np.cos(angles), np.sin(angles)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 500])
+@pytest.mark.parametrize("m", [1, 2, 3, 20])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-angles", "own-angles"])
+def test_rotate_rows_cascade_equals_one_call_per_segment(n, m, shared):
+    points, axes, c, s = _cascade_inputs(np.random.default_rng(n * 100 + m), n, m, shared)
+    before = points.copy()
+    out = rotate_rows(points, axes, c, s)
+    assert out.shape == (n, 3) and out.flags.c_contiguous
+    assert np.array_equal(out, rotate_rows_per_segment(points, axes, c, s))
+    assert np.array_equal(points, before)  # the input is not written
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 300), m=st.integers(1, 25), shared=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rotate_rows_cascade_equals_per_segment_for_any_table(n, m, shared, seed):
+    points, axes, c, s = _cascade_inputs(np.random.default_rng(seed), n, m, shared)
+    assert np.array_equal(rotate_rows(points, axes, c, s),
+                          rotate_rows_per_segment(points, axes, c, s))
+
+
+def test_rotate_rows_scalar_and_row_angles_are_shared_by_every_segment():
+    rng = np.random.default_rng(21)
+    points, axes, _, _ = _cascade_inputs(rng, 40, 6, True)
+    angles = rng.uniform(-3.0, 3.0, size=40)
+    for c, s in ((np.cos(0.4), np.sin(0.4)), (np.cos(angles), np.sin(angles))):
+        table = np.broadcast_to(c, (6, 40)), np.broadcast_to(s, (6, 40))
+        assert np.array_equal(rotate_rows(points, axes, c, s), rotate_rows(points, axes, *table))
+        assert np.array_equal(rotate_rows(points, axes, c, s),
+                              rotate_rows_per_segment(points, axes, c, s))
+
+
+@pytest.mark.parametrize("bad_row", [
+    [0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+    [1.0, 1e-4, 0.0],
+], ids=["long", "nan", "inf", "zero", "barely-off"])
+@pytest.mark.parametrize("where", [0, 2])
+def test_rotate_rows_rejects_a_non_unit_axis_row(bad_row, where):
+    axes = [list(stokes_of(k)) for k in "DLH"]
+    axes[where] = bad_row
+    with pytest.raises(ValidationError, match=f"axis {where} must be unit length"):
+        rotate_rows(np.array([stokes_of("D")]), axes, np.cos(0.1), np.sin(0.1))
+
+
+@pytest.mark.parametrize("axes, points, rows, message", [
+    (np.ones((2, 2)), np.zeros((1, 3)), 1, "axis must be an"),
+    (np.ones((2, 3, 1)), np.zeros((1, 3)), 1, "axis must be an"),
+    (["x", "y", "z"], np.zeros((1, 3)), 1, "axis must be a numeric"),
+    ([[1.0, 0.0, 0.0]], np.zeros(3), 1, "points must be an"),
+    ([[1.0, 0.0, 0.0]] * 3, np.zeros((4, 3)), 2, "one row of angles per axis"),
+    ([[1.0, 0.0, 0.0]] * 3, np.zeros((4, 3)), (3, 1), "one row of angles per axis"),
+], ids=["two-columns", "three-dims", "text", "one-point", "angle-rows", "angle-cube"])
+def test_rotate_rows_rejects_malformed_tables(axes, points, rows, message):
+    c = np.ones(np.atleast_1d(rows).tolist() + [len(points)])
+    with pytest.raises(ValidationError, match=message):
+        rotate_rows(points, axes, c, c)
+
+
+def test_random_units_equal_one_draw_per_row():
+    """One (m, 3) draw gives the axes, and the generator state, of m draws of three."""
+    for seed in range(40):
+        for m in (1, 2, 20, 57):
+            bulk, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+            units = random_units(bulk, m)
+            assert np.array_equal(units, np.array([random_unit(rows) for _ in range(m)]))
+            assert bulk.bit_generator.state == rows.bit_generator.state
+
+
+class _FixedNormals:
+    """A generator stand-in whose normals come from a fixed list, in order."""
+
+    def __init__(self, values):
+        self.values = [float(v) for v in values]
+        self.used = 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        out = np.array(self.values[self.used:self.used + count]).reshape(size)
+        self.used += count
+        return out
+
+
+@pytest.mark.parametrize("origin_blocks", [[0], [2], [4], [1, 2], [0, 5, 6], [3, 7]],
+                         ids=lambda b: "at-" + "-".join(map(str, b)))
+@pytest.mark.parametrize("origin", [0.0, 1e-13], ids=["zero", "tiny"])
+def test_random_units_redraw_a_draw_at_the_origin_from_the_next_normals(origin_blocks, origin):
+    rng = np.random.default_rng(sum(origin_blocks))
+    values = rng.normal(size=(12, 3))
+    values[origin_blocks] = [origin, 0.0, 0.0]
+    bulk, rows = _FixedNormals(values.ravel()), _FixedNormals(values.ravel())
+    units = random_units(bulk, 5)
+    assert np.array_equal(units, np.array([random_unit(rows) for _ in range(5)]))
+    assert bulk.used == rows.used
+    assert np.allclose(np.linalg.norm(units, axis=1), 1.0, atol=1e-12)
