@@ -109,7 +109,8 @@ def apply_channel_rows(states: np.ndarray, channel: FiberChannel, wavelengths_nm
     Within a block the cosine and sine of ``dgd * delta_omega`` are evaluated
     once per distinct segment delay, so a synthesized channel, whose segments
     all share one delay, pays for one cosine and one sine. Rows are
-    independent, so neither the blocks nor the shared trig change a bit.
+    independent, so neither the blocks nor the shared trig change a bit. A
+    delay whose angle at the largest |detuning| is not finite is refused.
     """
     states = np.asarray(states, dtype=float)
     lam = np.asarray(wavelengths_nm, dtype=float)
@@ -122,9 +123,13 @@ def apply_channel_rows(states: np.ndarray, channel: FiberChannel, wavelengths_nm
     for start in range(0, max(len(states), 1), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         w = dw[block]
+        w_max = float(np.abs(w).max(initial=0.0))
         trig = {}
         for dgd in delays:
             if dgd not in trig:
+                if not math.isfinite(dgd * w_max):
+                    raise ValidationError(f"segment delay {dgd} ps times the detuning "
+                                          "gives a non-finite rotation angle")
                 angle = dgd * w
                 trig[dgd] = (np.cos(angle), np.sin(angle))
         if len(trig) == 1:

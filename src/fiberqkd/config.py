@@ -25,7 +25,8 @@ from .emitter import EmitterSpectrum, PhotonStatistics
 from .errors import ValidationError
 from .keyrate import SecurityParams, sent_multiphoton_probability
 from .polarization import require_unit
-from .protocol import AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates
+from .protocol import (AliceSettings, DeviceParams, RateModel, SessionConfig, expected_rates,
+                       survival_probability)
 
 BUNDLED_SCENARIOS = ("deployed-3p5km", "spool-32p5km")
 
@@ -107,8 +108,7 @@ def _solve_detection_scale(config: SessionConfig, target_bps: float) -> float:
     if not target_bps > 0.0:
         raise ValidationError("sifted-rate target must be positive")
     device, stats = config.device, config.stats
-    loss = device.alice_loss_db + config.channel.loss_db + device.bob_loss_db
-    survival = 10.0 ** (-loss / 10.0) * device.detector_efficiency  # 0 on a huge loss
+    survival = survival_probability(device, config.channel.loss_db)  # 0 on a huge loss
     s = math.inf  # stays when no survival or no signal click raises the sifted rate
     if survival > 0.0 and 0.5 / survival < math.inf:
         floor = config.rate_model(0.0, 0.0, detection_scale=math.ulp(0.0))

@@ -171,12 +171,9 @@ class G2Model:
 
 
 def g2_of_delay(tau_ns, model: G2Model) -> np.ndarray:
-    """Evaluate the correlation model at delays in ns."""
-    t = np.abs(np.asarray(tau_ns, dtype=float))
-    shape = (1.0 + model.a) * np.exp(-t / model.tau1_ns) - model.a * np.exp(
-        -t / model.tau2_ns
-    )
-    return 1.0 - (1.0 - model.g2_zero) * shape
+    """Evaluate the correlation model at delays in ns: the CW counts at unit amplitude."""
+    tau = np.asarray(tau_ns, dtype=float)
+    return _cw_counts(tau, 1.0, model.g2_zero, model.a, model.tau1_ns, model.tau2_ns)[0]
 
 
 _MAX_WHOLE = 2.0**53  # every whole number up to it is exact in a float

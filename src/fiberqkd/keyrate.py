@@ -2,20 +2,18 @@
 
 The secure length of a session is computed from sifted counts in the key and
 check bases, their error rates, the basis-choice probabilities and the
-source's multi-photon weight. Multi-photon emissions are handled by shrinking
-each basis's single-photon fraction by the ratio of the multi-photon
-probability to that basis's detection share, a worst-case assignment of every
-multi-photon pulse to a detected slot. Statistical fluctuation between the
-check estimate and the key-basis phase error enters through a deviation term
-that shrinks as both sample sizes grow.
-
-An asymptotic reference bound in the style of the usual single-photon
-tagging argument is included for consistency checks, together with a
-basis-bias optimizer and a rate-versus-loss curve builder.
+source's multi-photon weight. Multi-photon emissions shrink each basis's
+single-photon fraction by the multi-photon probability over that basis's
+detection share, as if every multi-photon pulse were detected. The deviation
+allowance between the check estimate and the key-basis phase error, which
+shrinks as both sample sizes grow, the error-correction leakage and the
+finite-size log term are each written once, inside the bound;
+:func:`secure_key_length` reports them in its ``terms``.
 
 The bound is evaluated elementwise over arrays of operating points, so a
-whole grid of basis biases or channel losses costs one pass;
-:func:`secure_key_length` is its scalar form for one recorded session.
+whole grid of basis biases or channel losses costs one pass. An asymptotic
+rate in the style of the single-photon tagging argument, a basis-bias
+optimizer and a rate-versus-loss curve builder sit on top of it.
 """
 
 from __future__ import annotations
@@ -76,33 +74,6 @@ def multiphoton_correction(p_multi, p_det, p_basis):
     if not _all(p_multi >= 0.0):
         raise ValidationError("multi-photon probability must be non-negative")
     return 1.0 - p_multi / (p_det * p_basis)
-
-
-def fluctuation_delta(n_key, n_check, eps_sec: float):
-    """Deviation allowance between check-basis estimate and key-basis phase error.
-
-    Elementwise over arrays of counts; a scalar pair gives a float.
-    """
-    n_key = np.asarray(n_key, dtype=float)
-    n_check = np.asarray(n_check, dtype=float)
-    if not (_all(n_key >= 1.0) and _all(n_check >= 1.0)):
-        raise ValidationError("both sifted counts must be at least one")
-    if not 0.0 < eps_sec < 1.0:
-        raise ValidationError("secrecy failure probability must lie in (0, 1)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (n_key + n_check) * (n_check + 1.0) / (n_key * (n_check * n_check))
-    if not _all(np.isfinite(ratio)):
-        raise ValidationError("sifted counts too large for the deviation term")
-    return _float_if_scalar(np.sqrt(ratio * math.log(2.0 / eps_sec)))
-
-
-def leakage_ec(n_key, e_key, f: float):
-    """Bits disclosed by error correction at reconciliation efficiency ``f``."""
-    if not _all(n_key >= 0):
-        raise ValidationError("key count must be non-negative")
-    if f < 1.0:
-        raise ValidationError("reconciliation efficiency factor must be at least one")
-    return f * binary_entropy(e_key) * n_key
 
 
 @dataclass(frozen=True)
@@ -185,6 +156,9 @@ def _secure_length(n_key, n_check, e_key, e_check, p_key, p_check, p_det, p_mult
     length is zero and the statistical terms are evaluated at placeholder
     counts and credits, so they carry no meaning there. The entropy argument
     is clamped at one half, which zeroes the one-way rate.
+
+    ``delta`` bounds how far the key-basis phase error may sit above the
+    check estimate, and ``leak_ec`` is what error correction discloses.
     """
     n_key = np.asarray(n_key, dtype=float)
     n_check = np.asarray(n_check, dtype=float)
@@ -192,10 +166,15 @@ def _secure_length(n_key, n_check, e_key, e_check, p_key, p_check, p_det, p_mult
     a_check = multiphoton_correction(p_multi, p_det, p_check)
     live = (n_key >= 1.0) & (n_check >= 1.0) & (a_key > 0.0) & (a_check > 0.0)
     n_live = np.where(live, n_key, 1.0)
+    n_check = np.where(live, n_check, 1.0)
     q_check = e_check / np.where(live, a_check, 1.0)
-    delta = fluctuation_delta(n_live, np.where(live, n_check, 1.0), security.eps_sec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (n_live + n_check) * (n_check + 1.0) / (n_live * (n_check * n_check))
+    if not _all(np.isfinite(ratio)):
+        raise ValidationError("sifted counts too large for the deviation term")
+    delta = np.sqrt(ratio * math.log(2.0 / security.eps_sec))
     h_arg = np.minimum(q_check + delta, 0.5)
-    leak = leakage_ec(n_live, e_key, security.f)
+    leak = security.f * binary_entropy(e_key) * n_live
     log_term = math.log2(2.0 / (security.eps_sec**2 * security.eps_cor))
     raw = n_live * a_key * (1.0 - binary_entropy(h_arg)) - leak - log_term
     length = np.where(live, np.maximum(np.floor(raw), 0.0), 0.0)
@@ -250,17 +229,6 @@ def _asymptotic_fraction(a_key, a_check, e_key, e_check, f: float):
     return np.where(live & (fraction > 0.0), fraction, 0.0)
 
 
-def asymptotic_key_fraction(e_key, e_check, p_det, p_multi, f: float):
-    """Per-sifted-bit secure fraction in the large-sample limit.
-
-    Same structure as the finite bound with the deviation term and the
-    finite-size log removed, and the full detection probability backing the
-    single-photon credit. Elementwise over arrays; scalars give a float.
-    """
-    a = multiphoton_correction(p_multi, p_det, 1.0)
-    return _float_if_scalar(_asymptotic_fraction(a, a, e_key, e_check, f))
-
-
 def gllp_asymptotic_rate(
     rep_rate_hz: float,
     p_det,
@@ -271,6 +239,8 @@ def gllp_asymptotic_rate(
 ):
     """Asymptotic secure rate in bits per second.
 
+    The secure fraction is the finite bound's without its deviation and log
+    terms, with ``qber`` in both bases and ``p_det`` backing the credit.
     ``sift_factor`` is the fraction of detections that become sifted key
     material; one half for a balanced passive receiver, approaching the
     key-basis share in strongly biased operation. ``p_det`` and ``qber`` may
@@ -280,7 +250,8 @@ def gllp_asymptotic_rate(
         raise ValidationError("repetition rate must be positive")
     if not 0.0 <= sift_factor <= 1.0:
         raise ValidationError("sift factor must lie in [0, 1]")
-    fraction = asymptotic_key_fraction(qber, qber, p_det, p_multi, f)
+    a = multiphoton_correction(p_multi, p_det, 1.0)
+    fraction = _asymptotic_fraction(a, a, qber, qber, f)
     return _float_if_scalar(rep_rate_hz * p_det * sift_factor * fraction)
 
 

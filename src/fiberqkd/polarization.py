@@ -10,6 +10,8 @@ The encoder drives the relative phase ``phi`` between the horizontal and
 vertical components of ``|H> + exp(i*phi)|V>``, which places the output on
 the equator spanned by the D/A and L/R axes at ``(0, cos phi, sin phi)``.
 The four protocol states are phases 0, pi/2, pi and 3*pi/2, i.e. D, L, A, R.
+``PROTOCOL_STATES`` maps each label to that output as a Stokes tuple, which
+can differ from the cardinal state in the last bits: A is (0, -1, 1.2e-16).
 
 All rotations follow the right-hand rule: ``rotate((0,0,1), x_axis, pi/2)``
 lands on ``(0, -1, 0)``.
@@ -18,7 +20,6 @@ lands on ``(0, -1, 0)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,25 +262,7 @@ def random_units(rng: np.random.Generator, m: int) -> np.ndarray:
     return units
 
 
-@dataclass(frozen=True)
-class Bb84State:
-    """One protocol state: its label, modulator phase and Stokes vector."""
-
-    label: str
-    phase: float
-    stokes: tuple[float, float, float]
-
-    @classmethod
-    def from_label(cls, label: str) -> "Bb84State":
-        if label not in MODULATOR_PHASE:
-            raise ValidationError(f"not a protocol state: {label!r}")
-        phi = MODULATOR_PHASE[label]
-        return cls(label=label, phase=phi, stokes=tuple(phase_to_state(phi)))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.stokes)
-
-
-PROTOCOL_STATES = {label: Bb84State.from_label(label) for label in MODULATOR_PHASE}
-
+# Stokes vector of each protocol state, the modulator output at its phase.
+PROTOCOL_STATES = {
+    label: tuple(phase_to_state(phi).tolist()) for label, phi in MODULATOR_PHASE.items()
+}

@@ -38,6 +38,8 @@ from .polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_
 
 # Clicked slots handled per batch of gaps; bounds the engine's memory.
 _EVENT_CHUNK = 1 << 18
+# Longest session whose slot numbers fit an int64; see run_session.
+_MAX_PULSES = 2**63 // (_EVENT_CHUNK + 1) - 1
 
 _BASIS_LABELS = ("DA", "LR")
 _BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
@@ -47,6 +49,9 @@ _FLAGS = np.array(list(_DETECTOR_FLAG.values()))
 _MASK_LABELS = tuple(
     tuple(det for det, flag in _DETECTOR_FLAG.items() if mask & flag) for mask in range(16)
 )
+# Read-only Stokes vectors of the protocol states; row 2 * basis + bit.
+_STATE_STOKES = np.array([PROTOCOL_STATES[label] for label in DETECTOR_ORDER])
+_STATE_STOKES.flags.writeable = False
 
 DOUBLE_CLICK_POLICIES = ("discard", "random")
 
@@ -211,30 +216,12 @@ class SiftResult:
         return self.errors_lr / self.kept_lr if self.kept_lr else math.nan
 
     @property
-    def n_sifted_key(self) -> int:
-        return self.kept_da if self.key_basis == "DA" else self.kept_lr
-
-    @property
-    def n_sifted_check(self) -> int:
-        return self.kept_lr if self.key_basis == "DA" else self.kept_da
-
-    @property
-    def n_errors_key(self) -> int:
-        return self.errors_da if self.key_basis == "DA" else self.errors_lr
-
-    @property
-    def n_errors_check(self) -> int:
-        return self.errors_lr if self.key_basis == "DA" else self.errors_da
-
-    @property
     def e_key(self) -> float:
-        return self.n_errors_key / self.n_sifted_key if self.n_sifted_key else math.nan
+        return self.qber_da if self.key_basis == "DA" else self.qber_lr
 
     @property
     def e_check(self) -> float:
-        return (
-            self.n_errors_check / self.n_sifted_check if self.n_sifted_check else math.nan
-        )
+        return self.qber_lr if self.key_basis == "DA" else self.qber_da
 
     @property
     def p_det(self) -> float:
@@ -474,9 +461,16 @@ def run_session(
     Time windows cover ``config.window_s`` each; the trailing partial window
     is dropped. A pattern shorter than ``n_pulses`` pairs ends the session
     early with ``truncated`` set.
+
+    ``n_pulses`` is at most ``_MAX_PULSES``, about 3.5e13 slots (122 h at
+    80 MHz): slot numbers are int64, and one batch sums up to
+    ``_EVENT_CHUNK`` gaps of up to ``n_pulses + 1`` slots each.
     """
     if n_pulses < 1:
         raise ValidationError("need at least one pulse")
+    if n_pulses > _MAX_PULSES:
+        raise ValidationError(f"need at most {_MAX_PULSES} pulses, the int64 slot "
+                              f"arithmetic's bound, got {n_pulses}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -503,8 +497,6 @@ def run_session(
 
     zero_da = stokes_of("D")
     zero_lr = stokes_of("L")
-    # state index 0..3 = D, A, L, R
-    stokes_table = np.array([PROTOCOL_STATES[lbl].vector for lbl in DETECTOR_ORDER])
 
     # Arrival patterns of the signal: first photon only, second only, both.
     arrivals = (
@@ -562,7 +554,7 @@ def run_session(
             if idx.size == 0:
                 continue
             lam = config.spectrum.sample(rng, idx.size)
-            out = apply_channel_rows(stokes_table[state_idx[idx]], config.channel, lam)
+            out = apply_channel_rows(_STATE_STOKES[state_idx[idx]], config.channel, lam)
             in_da = rng.random(idx.size) < config.bob_split
             p_zero = np.where(
                 in_da, 0.5 * (1.0 + out @ zero_da), 0.5 * (1.0 + out @ zero_lr)
@@ -691,9 +683,5 @@ def expected_rates(config: SessionConfig) -> RateModel:
     floating point (A sits at (0, -1, 1.2e-16) from the modulator phase pi),
     so each keeps its own quadrature and the basis error is their mean.
     """
-    e = qber_from_pmd(
-        [PROTOCOL_STATES[lbl].vector for basis in _BASIS_LABELS for lbl in BASIS_STATES[basis]],
-        config.channel,
-        config.spectrum,
-    )
+    e = qber_from_pmd(_STATE_STOKES, config.channel, config.spectrum)
     return config.rate_model(float(np.mean(e[:2])), float(np.mean(e[2:])))

@@ -256,6 +256,26 @@ def test_apply_channel_rows_needs_one_wavelength_per_row():
         apply_channel_rows(np.tile(stokes_of("D"), (3, 1)), ch, [1310.0, 1311.0])
 
 
+def test_apply_channel_rows_refuses_a_non_finite_rotation_angle():
+    """A delay times a detuning past the float range, or a NaN detuning, is
+    an error naming the delay, not NaN rows or a numpy overflow warning."""
+    segments = (FiberSegment(axis=(0.0, 1.0, 0.0), dgd_ps=0.117),
+                FiberSegment(axis=(1.0, 0.0, 0.0), dgd_ps=1e308))
+    ch = FiberChannel(segments=segments, loss_db=0.0, length_km=3.5, reference_nm=1310.0)
+    states = np.tile(stokes_of("D"), (3, 1))
+    with pytest.raises(ValidationError, match=r"segment delay 1e\+308 ps times the detuning"):
+        apply_channel_rows(states, ch, [1306.5, 1310.0, 1313.5])
+    with pytest.raises(ValidationError, match="segment delay 0.117 ps times the detuning"):
+        apply_channel_rows(states, single_segment(), [1306.5, math.nan, 1313.5])
+    # At the reference wavelength every angle is zero, however long the delay.
+    assert apply_channel_rows(states[:1], ch, [1310.0]).tolist() == [stokes_of("D").tolist()]
+    # A detuning in a later block of rows is checked too.
+    lam = np.full(_BLOCK_ROWS + 1, 1310.0)
+    lam[-1] = 1306.5
+    with pytest.raises(ValidationError, match="1e\\+308"):
+        apply_channel_rows(np.tile(stokes_of("D"), (len(lam), 1)), ch, lam)
+
+
 def test_first_order_pmd_is_segment_vector_sum():
     segs = (FiberSegment(axis=(1.0, 0.0, 0.0), dgd_ps=0.3),
             FiberSegment(axis=(0.0, 1.0, 0.0), dgd_ps=0.4))
@@ -640,9 +660,9 @@ def test_qber_of_a_state_stack_is_each_states_own_error(shape):
     """One pass of a state stack gives each state the bits of its own quadrature."""
     # The protocol states come from cos/sin of the modulator phases, so A is
     # not the exact negation of D and its quadrature cannot be skipped.
-    assert not np.array_equal(PROTOCOL_STATES["A"].vector, -PROTOCOL_STATES["D"].vector)
+    assert not np.array_equal(PROTOCOL_STATES["A"], -np.array(PROTOCOL_STATES["D"]))
     spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape=shape)
-    states = [PROTOCOL_STATES[lbl].vector for lbl in ("D", "A", "L", "R")]
+    states = [np.array(PROTOCOL_STATES[lbl]) for lbl in ("D", "A", "L", "R")]
     for seed in range(5):
         ch = synthesize_channel(0.3, 10.0, 20, seed=seed, reference_nm=1309.5)
         single = [qber_from_pmd(s, ch, spec) for s in states]

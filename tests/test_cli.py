@@ -444,10 +444,13 @@ def _two_parallel_segments(dgd_ps):
     (_set_synthesize("pmd_param", 1e200), "channel first-order delay overflows"),
     (_set_synthesize("pmd_param", 1e308), "channel segment delay overflows"),
     (_two_parallel_segments(1e308), "channel first-order delay overflows"),
-], ids=["pmd_param-1e200", "pmd_param-1e308", "two-segments-1e308"])
+    (lambda doc: _one_segment_channel(doc, {"axis": [0.0, 1.0, 0.0], "dgd_ps": 1e308}),
+     "segment delay 1e+308 ps times the detuning gives a non-finite rotation angle"),
+], ids=["pmd_param-1e200", "pmd_param-1e308", "two-segments-1e308", "one-segment-1e308"])
 def test_exit_code_one_on_an_overflowing_first_order_delay(tmp_path, capsys, edit, message):
-    """A channel whose delays sum past the float range is refused with one
-    error line that names the channel; no numpy overflow warning escapes."""
+    """A channel whose delays sum past the float range, or whose delay times
+    a detuning does, is refused with one error line that names the channel
+    or the delay; no numpy overflow warning escapes and no NaN row is written."""
     doc = _deployed_doc()
     edit(doc)
     path = tmp_path / "overflow.json"
@@ -459,6 +462,22 @@ def test_exit_code_one_on_an_overflowing_first_order_delay(tmp_path, capsys, edi
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("pulses, extra", [
+    ("100000000000000000000000", []),
+    ("9223372036854775807", ["--window-s", "1e300"]),
+    ("9223372036854775807", []),
+], ids=["1e23", "int64-max-window-1e300", "int64-max"])
+def test_exit_code_one_on_pulses_beyond_the_slot_arithmetic(capsys, pulses, extra):
+    """Refused before the window table is allocated: not a MemoryError or an
+    OverflowError from the slot arithmetic."""
+    assert run_cli("simulate", "--scenario", "deployed-3p5km", "--seed", "1",
+                   "--pulses", pulses, *extra) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: need at most 35184237871614 pulses, the int64 slot "
+                   f"arithmetic's bound, got {pulses}\n")
 
 
 def _with(value, *keys):

@@ -103,16 +103,26 @@ def test_sent_multiphoton_share():
     assert scn.p_multi_sent == pytest.approx(1.6315506950474052e-9, rel=1e-12)
 
 
+_FROZEN_PLANNING = {
+    "deployed-3p5km": dict(p_det=3.374001006184457e-05, e_key=0.014875955876015923,
+                           e_check=0.04792731077640113, qber_pooled=0.031401633326208524,
+                           e_pol_da=5.685290856812337e-05, e_pol_lr=0.034117828827360926),
+    "spool-32p5km": dict(p_det=6.4290263309674245e-06, e_key=0.05252297246105725,
+                         e_check=0.06611257791456446, qber_pooled=0.05931777518781085,
+                         e_pol_da=0.014088579366040892, e_pol_lr=0.02884541398632543),
+}
+
+
 def test_planning_inputs_summary():
-    pi = planning_inputs(load_scenario("deployed-3p5km"))
-    assert pi["rep_rate_hz"] == 80e6
-    assert pi["p_det"] == pytest.approx(3.374001006184457e-05, rel=1e-9)
-    assert pi["e_key"] == pytest.approx(0.014875955876015921, rel=1e-9)
-    assert pi["e_check"] == pytest.approx(0.04792731077640113, rel=1e-9)
-    assert pi["p_multi"] == pytest.approx(1.6315506950474052e-09, rel=1e-12)
-    assert pi["bob_key_share"] == 0.5
-    # pooled error sits between the per-basis values
-    assert pi["e_key"] < pi["qber_pooled"] < pi["e_check"]
+    """Frozen to the bit on both bundled links: the calibration, the
+    quadrature and the rate model each have one implementation, and
+    rewriting one must not move a bit."""
+    for name, frozen in _FROZEN_PLANNING.items():
+        pi = planning_inputs(load_scenario(name))
+        assert pi == dict(frozen, rep_rate_hz=80e6, p_multi=1.6315506950474052e-09,
+                          bob_key_share=0.5)
+        # pooled error sits between the per-basis values
+        assert pi["e_key"] < pi["qber_pooled"] < pi["e_check"]
 
 
 def test_calibration_target_bounds():

@@ -133,6 +133,21 @@ def test_g2_model_endpoints():
     assert g2_of_delay(12.0, model) > 1.0
 
 
+def test_g2_of_delay_equals_the_closed_form():
+    """The model evaluated through the CW fit's counts at unit amplitude has
+    the bits of 1 - (1 - g2_zero)((1 + a) exp(-|t|/tau1) - a exp(-|t|/tau2))."""
+    tau = np.linspace(-200.0, 200.0, 801)
+    for model in (G2Model(a=0.2, tau1_ns=2.0, tau2_ns=50.0, g2_zero=0.28),
+                  G2Model(a=0.0, tau1_ns=0.7, tau2_ns=3.0),
+                  G2Model(a=1.5, tau1_ns=40.0, tau2_ns=9.0, g2_zero=1.3)):
+        t = np.abs(tau)
+        shape = (1.0 + model.a) * np.exp(-t / model.tau1_ns) - model.a * np.exp(
+            -t / model.tau2_ns
+        )
+        assert np.array_equal(g2_of_delay(tau, model), 1.0 - (1.0 - model.g2_zero) * shape)
+        assert g2_of_delay(tau[0], model) == g2_of_delay(tau, model)[0]
+
+
 def test_g2_model_validation():
     with pytest.raises(ValidationError):
         G2Model(a=0.1, tau1_ns=0.0, tau2_ns=50.0)

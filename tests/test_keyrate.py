@@ -18,13 +18,10 @@ from fiberqkd.keyrate import (
     _P_KEY_UPPER,
     KeyTally,
     SecurityParams,
-    asymptotic_key_fraction,
     binary_entropy,
     expected_tally,
-    fluctuation_delta,
     gllp_asymptotic_rate,
     key_analysis_document,
-    leakage_ec,
     load_key_analysis,
     multiphoton_correction,
     optimize_basis_probability,
@@ -83,30 +80,49 @@ def test_multiphoton_correction_arithmetic():
         multiphoton_correction(1e-9, 0.0, 0.5)
 
 
+def _terms(n_key, n_check, eps_sec=1e-12, e_key=0.0):
+    """The finite-key terms of an error-free-check, multi-photon-free tally."""
+    tally = KeyTally(n_key=n_key, n_check=n_check, e_key=e_key, e_check=0.0, p_key=0.9,
+                     p_check=0.1, p_det=1.0, p_multi=0.0)
+    return secure_key_length(tally, SecurityParams(eps_sec=eps_sec, f=1.16)).terms
+
+
 def test_fluctuation_delta_frozen_anchor():
-    assert fluctuation_delta(1_000_000, 10_000, 1e-12) == pytest.approx(
-        0.053488569545699506, rel=1e-13)
+    assert _terms(1_000_000, 10_000)["delta"] == pytest.approx(0.053488569545699506, rel=1e-13)
 
 
 def test_fluctuation_delta_shrinks_with_statistics():
-    base = fluctuation_delta(1_000_000, 10_000, 1e-12)
-    assert fluctuation_delta(1_000_000, 40_000, 1e-12) < base
-    assert fluctuation_delta(4_000_000, 40_000, 1e-12) < base
-    assert fluctuation_delta(1_000_000, 10_000, 1e-6) < base  # looser epsilon
+    base = _terms(1_000_000, 10_000)["delta"]
+    assert _terms(1_000_000, 40_000)["delta"] < base
+    assert _terms(4_000_000, 40_000)["delta"] < base
+    assert _terms(1_000_000, 10_000, eps_sec=1e-6)["delta"] < base  # looser epsilon
 
 
-def test_fluctuation_delta_rejects_counts_that_overflow_its_ratio():
+def test_fluctuation_delta_rejects_counts_that_overflow_its_ratio(tmp_path, capsys):
     """Counts whose product overflows give inf / inf; that is an error, not a
     NaN allowance that the entropy would have read as zero."""
-    assert fluctuation_delta(1e110, 1e110, 1e-12) == 0.0  # only the denominator overflows
-    for n_key, n_check in ((1e160, 1e160), (1.0, 1e160), (np.array([1e3, 1e160]), 1e160)):
+    assert _terms(10**110, 10**110)["delta"] == 0.0  # only the denominator overflows
+    for n_key, n_check in ((10**160, 10**160), (1, 10**160)):
         with pytest.raises(ValidationError, match="too large"):
-            fluctuation_delta(n_key, n_check, 1e-12)
+            _terms(n_key, n_check)
+    # Every operating point of an array is checked: one that overflows refuses all.
+    objective = planning_rate_function(p_det=3.374e-5, e_key=0.017, e_check=0.083,
+                                       p_multi=1.63e-9, duration_s=1e300, rep_rate_hz=80e6,
+                                       security=SECURITY)
+    with pytest.raises(ValidationError, match="too large"):
+        objective(np.array([0.6, 0.9]))
+    doc = key_analysis_document(bundled_tally("tally-spool")[0], SECURITY)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc | {"n_z": 10**160, "n_x": 10**160}))
+    assert cli_main(["keyrate", "--tally", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: sifted counts too large for the deviation term\n"
 
 
 def test_leakage_is_linear_in_key_length():
-    assert leakage_ec(1_000_000, 0.017, 1.16) == pytest.approx(
-        1.16 * binary_entropy(0.017) * 1_000_000, rel=1e-13)
+    leak = _terms(1_000_000, 10_000, e_key=0.017)["leak_ec"]
+    assert leak == pytest.approx(1.16 * binary_entropy(0.017) * 1_000_000, rel=1e-13)
+    assert _terms(2_000_000, 10_000, e_key=0.017)["leak_ec"] == 2.0 * leak
 
 
 # -------------------------------------------------------------- key length
@@ -277,10 +293,12 @@ def test_gllp_scales_with_throughput():
 
 
 def test_gllp_matches_key_fraction_composition():
-    args = dict(p_det=1e-4, p_multi=1e-9, f=1.16)
-    frac = asymptotic_key_fraction(e_key=0.03, e_check=0.03, **args)
-    rate = gllp_asymptotic_rate(1e6, 1e-4, 0.03, 1e-9, 1.16, sift_factor=0.5)
-    assert rate == pytest.approx(1e6 * 1e-4 * 0.5 * frac, rel=1e-12)
+    """nu p_det share (a (1 - h(min(q / a, 1/2))) - f h(q)) with a = 1 - p_m / p_det."""
+    nu, p_det, q, p_m, f, share = 1e6, 1e-4, 0.03, 1e-9, 1.16, 0.5
+    a = 1.0 - p_m / p_det
+    frac = a * (1.0 - binary_entropy(min(q / a, 0.5))) - f * binary_entropy(q)
+    rate = gllp_asymptotic_rate(nu, p_det, q, p_m, f, sift_factor=share)
+    assert rate == pytest.approx(nu * p_det * share * frac, rel=1e-12)
 
 
 def test_multiphoton_fraction_kills_asymptotic_rate():
@@ -521,10 +539,8 @@ def test_scalar_inputs_give_python_floats():
         assert type(fn(0.9)) is float
         assert fn(np.array([0.9])).shape == (1,)
     assert type(gllp_asymptotic_rate(1e6, 1e-4, 0.03, 1e-9, 1.16)) is float
-    assert type(asymptotic_key_fraction(0.03, 0.03, 1e-4, 1e-9, 1.16)) is float
-    assert type(fluctuation_delta(1_000_000, 10_000, 1e-12)) is float
+    assert type(binary_entropy(0.017)) is float
     assert type(multiphoton_correction(1e-9, 1e-4, 0.5)) is float
-    assert type(leakage_ec(1_000_000, 0.017, 1.16)) is float
 
 
 def test_planning_rate_function_rejects_invalid_inputs():

@@ -11,7 +11,6 @@ from fiberqkd.polarization import (
     DETECTOR_ORDER,
     MODULATOR_PHASE,
     PROTOCOL_STATES,
-    Bb84State,
     cross,
     normalize,
     perpendicular_unit,
@@ -76,11 +75,12 @@ def test_detector_order_and_basis_states():
     assert BASIS_STATES["LR"] == ("L", "R")
 
 
-def test_bb84state_and_basis_dataclasses():
-    st = Bb84State.from_label("L")
-    assert st.phase == pytest.approx(np.pi / 2)
-    assert np.allclose(st.stokes, (0.0, 0.0, 1.0))
-    assert PROTOCOL_STATES["D"] == Bb84State.from_label("D")
+def test_protocol_states_are_the_modulator_outputs():
+    assert MODULATOR_PHASE["L"] == np.pi / 2
+    assert np.allclose(PROTOCOL_STATES["L"], (0.0, 0.0, 1.0))
+    for label, phi in MODULATOR_PHASE.items():
+        assert PROTOCOL_STATES[label] == tuple(phase_to_state(phi).tolist())
+        assert all(type(x) is float for x in PROTOCOL_STATES[label])
 
 
 def test_rotate_right_handed_convention():

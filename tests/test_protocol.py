@@ -16,7 +16,14 @@ from fiberqkd.config import bundled_scenario_path, load_scenario
 from fiberqkd.documents import read_pattern
 from fiberqkd.emitter import EmitterSpectrum, PhotonStatistics, sample_photon_number
 from fiberqkd.errors import ValidationError
-from fiberqkd.polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_of
+from fiberqkd.polarization import (
+    BASIS_STATES,
+    DETECTOR_ORDER,
+    MODULATOR_PHASE,
+    PROTOCOL_STATES,
+    phase_to_state,
+    stokes_of,
+)
 from fiberqkd.protocol import (
     CROSS,
     DOUBLE,
@@ -150,10 +157,10 @@ def test_sift_discard_policy_counts():
 
 def test_sift_key_basis_role_assignment():
     res = sift(ALICE, BOB, policy="discard", key_basis="DA")
-    assert res.n_sifted_key == 2 and res.n_errors_key == 1
+    assert res.kept_da == 2 and res.e_key == 0.5
     assert res.e_check == 0.0
     swapped = sift(ALICE, BOB, policy="discard", key_basis="LR")
-    assert swapped.n_sifted_key == 2 and swapped.n_errors_key == 0
+    assert swapped.kept_lr == 2 and swapped.e_key == 0.0
     assert swapped.e_check == pytest.approx(0.5)
 
 
@@ -358,7 +365,7 @@ def _transmit_and_measure(
         raise ValidationError(f"unknown basis label {basis!r}")
     if bit not in (0, 1):
         raise ValidationError("bit must be 0 or 1")
-    state = PROTOCOL_STATES[BASIS_STATES[basis][bit]].vector
+    state = np.array(PROTOCOL_STATES[BASIS_STATES[basis][bit]])
     p_surv = survival_probability(
         config.device, config.channel.loss_db, config.detection_scale
     )
@@ -467,6 +474,27 @@ def test_closed_form_detection_monotone_in_loss():
 
 
 # --------------------------------------------------------------- sessions
+
+
+def test_state_table_is_read_only_and_the_modulator_outputs():
+    """The engine and the quadrature read one (4, 3) table in DETECTOR_ORDER;
+    A keeps the modulator's residue, so it is not the negation of D."""
+    table = protocol._STATE_STOKES
+    assert table.shape == (4, 3) and not table.flags.writeable
+    for row, label in zip(table, DETECTOR_ORDER):
+        assert np.array_equal(row, phase_to_state(MODULATOR_PHASE[label]))
+    assert table[1].tolist() == [0.0, -1.0, 1.2246467991473532e-16]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+def test_run_session_refuses_pulses_beyond_the_slot_arithmetic():
+    """Refused before anything is allocated; no session near the bound runs."""
+    with pytest.raises(ValidationError, match="int64 slot arithmetic"):
+        run_session(ideal_config(), protocol._MAX_PULSES + 1, seed=1)
+    # A batch of the most gaps, each clipped to n + 1 slots, past a slot below n.
+    n = protocol._MAX_PULSES
+    assert n - 1 + protocol._EVENT_CHUNK * (n + 1) <= 2**63 - 1
 
 
 def test_run_session_is_seed_deterministic():
