@@ -13,6 +13,8 @@ Cost model: propagation (:func:`apply_channel_rows`) makes one
 the whole cascade on preallocated buffers, and evaluates the trig once per
 distinct segment delay. The kernel's one matrix-vector dot per segment, on
 the (n, 3) C-order state, fixes the bits; every other step is elementwise.
+The rate model sees the channel only through its spectral-mean rotation, one
+propagation of 3 rows per quadrature point however many states read it.
 Synthesis draws all segment axes in one generator call.
 
 Wavelengths are in nm, delay in ps, so detunings come out in rad/ps.
@@ -47,12 +49,18 @@ def delta_omega(wavelength_nm, reference_nm: float):
 
     Uses the exact relation 2*pi*c*(1/lambda - 1/lambda_ref), negative for
     wavelengths above the reference. A scalar wavelength gives a scalar and
-    an array gives the array of its detunings.
+    an array gives the array of its detunings; a non-finite one is refused.
     """
     lam = np.asarray(wavelength_nm, dtype=float)
     if (lam <= 0.0).any() or reference_nm <= 0.0:
         raise ValidationError("wavelengths must be positive")
-    return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / lam - 1.0 / reference_nm)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        dw = 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / lam - 1.0 / reference_nm)
+    finite = np.isfinite(dw)
+    if not finite.all():
+        raise ValidationError(f"wavelength {float(lam[~finite].flat[0])} nm has no finite "
+                              f"detuning from the reference {float(reference_nm)} nm")
+    return dw
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,7 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     ``target`` is a cardinal-state label or a unit vector. Useful for pinning
     a synthesized channel's principal states onto a chosen encoder basis.
 
-    All axes turn at once in the operation order of :func:`rotate`. The dot
+    All axes turn at once in the operation order of ``_rodrigues``. The dot
     products and norms are numpy dots taken row by row, because a
     matrix-vector product sums in another order and moves the last bits of
     some axes.
@@ -406,36 +414,36 @@ def estimate_dgd(central_angle_rad: float, span_nm: float, center_nm: float) -> 
     return float(central_angle_rad / width)
 
 
-def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
-    """Spectrally averaged misalignment error a broadband pulse suffers.
-
-    The channel output is compared against the undisturbed state (which is
-    also the output at the reference wavelength) and the wrong-port
-    probability is integrated against the emitter's spectral density with a
-    trapezoid rule on a uniform grid.
-
-    ``state`` is one Stokes vector, which gives a float, or a (k, 3) stack of
-    them, which gives an array of the k errors. A stack goes through the
-    channel in one pass and each state keeps its own quadrature.
-    """
+def _mean_rotation(channel: FiberChannel, spectrum, n_samples: int) -> np.ndarray:
+    """The spectral mean of the channel's rotation R(lambda), a 3x3 matrix:
+    one pass takes the unit axes, R's columns, through the channel at every
+    point of a uniform grid, and one trapezoid rule averages them."""
     if n_samples < 201:
         raise ValidationError("quadrature needs at least 201 samples")
-    arr = np.asarray(state, dtype=float)
-    states = [require_unit(s, "state") for s in np.atleast_2d(arr)]
-    if not states:
-        raise ValidationError("need at least one state")
-    lo, hi = spectrum.support()
-    lam = np.linspace(lo, hi, n_samples)
+    lam = np.linspace(*spectrum.support(), n_samples)
     weights = spectrum.density(lam)
-    rows = apply_channel_rows(
-        np.repeat(states, n_samples, axis=0), channel, np.tile(lam, len(states))
-    )
     total = np.trapezoid(weights, lam)
     if total <= 0.0:
         raise ValidationError("spectral density integrates to zero on its support")
-    values = np.empty(len(states))
-    for i, (s, out) in enumerate(zip(states, np.split(rows, len(states)))):
-        err = 0.5 * (1.0 - out @ s)
-        values[i] = np.clip(np.trapezoid(weights * err, lam) / total, 0.0, 1.0)
-    return float(values[0]) if arr.ndim == 1 else values
+    rows = apply_channel_rows(np.repeat(np.eye(3), n_samples, axis=0), channel, np.tile(lam, 3))
+    # Row (j, i) of the reshaped rows is R(lam_i) e_j, column j of R.
+    return np.trapezoid(weights[:, None] * rows.reshape(3, n_samples, 3), lam, axis=1).T / total
 
+
+def qber_from_pmd(state, channel: FiberChannel, spectrum, n_samples: int = 201):
+    """Spectrally averaged misalignment error a broadband pulse suffers.
+
+    A launch state s errs with probability 1/2 (1 - s . R s), linear in R, so
+    on average 1/2 (1 - s . M s) with M from :func:`_mean_rotation`. ``state``
+    is one Stokes vector, which gives a float, or a (k, 3) stack, which gives
+    the k errors; rows are worked out elementwise, so alone and in a stack a
+    state gets the same bits.
+    """
+    m = _mean_rotation(channel, spectrum, n_samples)
+    arr = np.asarray(state, dtype=float)
+    s = np.array([require_unit(v, "state") for v in np.atleast_2d(arr)]).T
+    if not s.size:
+        raise ValidationError("need at least one state")
+    ms = sum(m[:, j, None] * s[j] for j in range(3))
+    values = (0.5 * (1.0 - sum(s * ms))).clip(0.0, 1.0)
+    return float(values[0]) if arr.ndim == 1 else values

@@ -44,8 +44,8 @@ class Scenario:
     def rate_model(self) -> RateModel:
         """Closed-form rates of this link, computed at most once per scenario.
 
-        The misalignment quadrature runs on first use, so commands that never
-        read the model never pay for it.
+        The channel's spectral-mean rotation is computed on first use, so
+        commands that never read the model never pay for it.
         """
         return expected_rates(self.config)
 

@@ -13,8 +13,8 @@ The four protocol states are phases 0, pi/2, pi and 3*pi/2, i.e. D, L, A, R.
 ``PROTOCOL_STATES`` maps each label to that output as a Stokes tuple, which
 can differ from the cardinal state in the last bits: A is (0, -1, 1.2e-16).
 
-All rotations follow the right-hand rule: ``rotate((0,0,1), x_axis, pi/2)``
-lands on ``(0, -1, 0)``.
+All rotations follow the right-hand rule: a quarter turn about the x axis
+takes ``(0, 0, 1)`` to ``(0, -1, 0)``.
 """
 
 from __future__ import annotations
@@ -125,15 +125,6 @@ def _rodrigues(s: np.ndarray, a: np.ndarray, angle) -> np.ndarray:
         si * c + xi * sin + ai * d * w for si, xi, ai in zip(sv, _cross(av, sv), av)
     ])
     return out / math.sqrt(out.dot(out))
-
-
-def rotate(state, axis, angle: float) -> np.ndarray:
-    """Rotate a Stokes vector about ``axis`` by ``angle`` (right-hand rule).
-
-    Rodrigues form, renormalized afterwards so that long rotation chains do
-    not drift off the sphere.
-    """
-    return _rodrigues(require_unit(state, "state"), require_unit(axis, "axis"), angle)
 
 
 def _unit_rows(axes) -> np.ndarray:

@@ -40,6 +40,9 @@ from .polarization import BASIS_STATES, DETECTOR_ORDER, PROTOCOL_STATES, stokes_
 _EVENT_CHUNK = 1 << 18
 # Longest session whose slot numbers fit an int64; see run_session.
 _MAX_PULSES = 2**63 // (_EVENT_CHUNK + 1) - 1
+# Most windows in a session: a 7 h paper session has 1,260 of 20 s, and a window
+# of one slot has no error rate, so 2^20 (a 16 MiB table) bounds no real session.
+_MAX_WINDOWS = 1 << 20
 
 _BASIS_LABELS = ("DA", "LR")
 _BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
@@ -458,9 +461,9 @@ def run_session(
     unconditionally, the arrival pattern of signal-first events, wavelengths
     and measurement draws for first then second photons, then double-click
     resolutions. Only clicked slots are recorded when ``record_slots`` is on.
-    Time windows cover ``config.window_s`` each; the trailing partial window
-    is dropped. A pattern shorter than ``n_pulses`` pairs ends the session
-    early with ``truncated`` set.
+    Time windows cover ``config.window_s`` each, at most ``_MAX_WINDOWS`` of
+    them; the trailing partial window is dropped. A pattern shorter than
+    ``n_pulses`` pairs ends the session early with ``truncated`` set.
 
     ``n_pulses`` is at most ``_MAX_PULSES``, about 3.5e13 slots (122 h at
     80 MHz): slot numbers are int64, and one batch sums up to
@@ -487,9 +490,11 @@ def run_session(
             np.frombuffer(pattern, dtype=np.uint8), count=2 * n_pulses
         ).reshape(n_pulses, 2)
 
-    window_pulses = int(round(config.window_s * device.rep_rate_hz))
-    window_pulses = max(window_pulses, 1)
+    window_pulses = max(int(round(config.window_s * device.rep_rate_hz)), 1)
     n_windows = n_pulses // window_pulses
+    if n_windows > _MAX_WINDOWS:
+        raise ValidationError(f"--window-s {config.window_s} splits {n_pulses} pulses into "
+                              f"{n_windows} windows, more than {_MAX_WINDOWS}")
     windows = np.zeros((n_windows, 2), dtype=np.int64)  # sifted, errors
 
     counts = np.zeros(2 * _N_OUTCOMES, dtype=np.int64)
@@ -675,13 +680,8 @@ def closed_form_rates(
 
 
 def expected_rates(config: SessionConfig) -> RateModel:
-    """Closed-form rates for a full session configuration.
-
-    Polarization error rates per basis come from the spectrally averaged
-    channel misalignment of the basis's two states; all four states share one
-    pass through the channel. A basis's two states are not exact antipodes in
-    floating point (A sits at (0, -1, 1.2e-16) from the modulator phase pi),
-    so each keeps its own quadrature and the basis error is their mean.
-    """
+    """Closed-form rates for a full session configuration. A basis's
+    polarization error is the mean of its two states', all four of which
+    read the channel's one spectral-mean rotation."""
     e = qber_from_pmd(_STATE_STOKES, config.channel, config.spectrum)
     return config.rate_model(float(np.mean(e[:2])), float(np.mean(e[2:])))

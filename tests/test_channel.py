@@ -16,6 +16,7 @@ from fiberqkd.channel import (
     FiberChannel,
     FiberSegment,
     PmdVector,
+    _mean_rotation,
     _polar_angles,
     align_first_order_axis,
     apply_channel_rows,
@@ -36,7 +37,6 @@ from fiberqkd.polarization import (
     PROTOCOL_STATES,
     _rodrigues,
     require_unit,
-    rotate,
     rotate_rows,
     rotation_taking,
     stokes_of,
@@ -45,6 +45,7 @@ from test_polarization import (
     _perpendicular_unit_cross,
     _rotate_cross,
     random_unit,
+    rotate,
     rotate_rows_one_axis,
 )
 
@@ -92,6 +93,14 @@ def test_channel_preserves_unit_norm_across_band():
     for wl in np.linspace(1290.0, 1330.0, 9):
         out = apply_channel_rows(states, ch, np.full(4, wl))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wavelength", [1e-310, math.nan])
+def test_a_wavelength_without_a_finite_detuning_is_refused(wavelength):
+    """A subnormal wavelength overflows 1 / lambda: an error naming it, not
+    an overflow warning or an infinite detuning."""
+    with pytest.raises(ValidationError, match=f"wavelength {wavelength} nm has no finite"):
+        delta_omega([1310.0, wavelength], 1310.0)
 
 
 def test_apply_channel_rows_matches_scalar_path():
@@ -257,15 +266,16 @@ def test_apply_channel_rows_needs_one_wavelength_per_row():
 
 
 def test_apply_channel_rows_refuses_a_non_finite_rotation_angle():
-    """A delay times a detuning past the float range, or a NaN detuning, is
-    an error naming the delay, not NaN rows or a numpy overflow warning."""
+    """A delay times a detuning past the float range is an error naming the
+    delay, and a NaN wavelength one naming the wavelength, not NaN rows or a
+    numpy overflow warning."""
     segments = (FiberSegment(axis=(0.0, 1.0, 0.0), dgd_ps=0.117),
                 FiberSegment(axis=(1.0, 0.0, 0.0), dgd_ps=1e308))
     ch = FiberChannel(segments=segments, loss_db=0.0, length_km=3.5, reference_nm=1310.0)
     states = np.tile(stokes_of("D"), (3, 1))
     with pytest.raises(ValidationError, match=r"segment delay 1e\+308 ps times the detuning"):
         apply_channel_rows(states, ch, [1306.5, 1310.0, 1313.5])
-    with pytest.raises(ValidationError, match="segment delay 0.117 ps times the detuning"):
+    with pytest.raises(ValidationError, match="wavelength nan nm has no finite detuning"):
         apply_channel_rows(states, single_segment(), [1306.5, math.nan, 1313.5])
     # At the reference wavelength every angle is zero, however long the delay.
     assert apply_channel_rows(states[:1], ch, [1310.0]).tolist() == [stokes_of("D").tolist()]
@@ -657,9 +667,9 @@ def test_qber_equal_for_antipodal_states(shape):
 
 @pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
 def test_qber_of_a_state_stack_is_each_states_own_error(shape):
-    """One pass of a state stack gives each state the bits of its own quadrature."""
+    """A state in a stack gets the bits it gets alone."""
     # The protocol states come from cos/sin of the modulator phases, so A is
-    # not the exact negation of D and its quadrature cannot be skipped.
+    # not the exact negation of D and its error is computed, not copied.
     assert not np.array_equal(PROTOCOL_STATES["A"], -np.array(PROTOCOL_STATES["D"]))
     spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape=shape)
     states = [np.array(PROTOCOL_STATES[lbl]) for lbl in ("D", "A", "L", "R")]
@@ -675,6 +685,61 @@ def test_qber_of_a_state_stack_is_each_states_own_error(shape):
         qber_from_pmd(np.empty((0, 3)), ch, spec)
     with pytest.raises(ValidationError):
         qber_from_pmd([stokes_of("D"), [1.0, 1.0, 0.0]], ch, spec)
+
+
+@pytest.mark.parametrize("name", ["deployed-3p5km", "spool-32p5km"])
+def test_mean_rotation_is_the_mean_of_the_scalar_cascade(name):
+    """Column j of the matrix is the trapezoid mean of R(lambda) e_j, each
+    R(lambda) e_j taken through the channel one segment at a time."""
+    config = load_scenario(name).config
+    lo, hi = config.spectrum.support()
+    lam = np.linspace(lo, hi, 201)
+    weights = config.spectrum.density(lam)
+    columns = [np.trapezoid(weights[:, None] * [_apply_channel(e, config.channel, x)
+                                                for x in lam], lam, axis=0)
+               for e in np.eye(3)]
+    reference = np.array(columns).T / np.trapezoid(weights, lam)
+    mean = _mean_rotation(config.channel, config.spectrum, 201)
+    assert np.abs(mean - reference).max() <= 1e-15
+
+
+def test_mean_rotation_of_one_segment_closed_form():
+    """A flat 7 nm spectrum about an +x axis: the x axis stays, and the
+    cosine of the rotation angle averages to sin(theta/2)/(theta/2) over the
+    span's full angle theta, within twice the trapezoid rule's error bound
+    theta^2 / (12 (n - 1)^2) on 201 points."""
+    spec = EmitterSpectrum(center_nm=1310.0, fwhm_nm=7.0, shape="rectangular")
+    mean = _mean_rotation(single_segment(), spec, 201)
+    theta = 0.117 * abs(delta_omega(1313.5, 1306.5))
+    sinc = np.sin(theta / 2.0) / (theta / 2.0)
+    assert np.abs(mean[0] - [1.0, 0.0, 0.0]).max() <= 1e-15
+    assert np.abs(mean[1:, 0]).max() <= 1e-15
+    assert mean[1, 1] == mean[2, 2] == pytest.approx(sinc, rel=2.0 * theta**2 / (12 * 200**2))
+    # The sine averages to zero on a detuning band symmetric about the
+    # reference; 1/lambda leaves a residue far below the cosine's mean.
+    assert mean[2, 1] == -mean[1, 2]
+    assert 0.0 < mean[2, 1] < 1e-3
+
+
+def test_qber_from_pmd_is_one_half_one_minus_s_mean_s(monkeypatch):
+    """Every cardinal state's error reads the one matrix, built from a single
+    channel pass of the three unit axes on the quadrature grid."""
+    rows = []
+
+    def counting(states, channel, wavelengths_nm):
+        rows.append(len(states))
+        return apply_channel_rows(states, channel, wavelengths_nm)
+
+    spec = EmitterSpectrum(center_nm=1309.5, fwhm_nm=7.0, shape="gaussian")
+    ch = synthesize_channel(0.3, 10.0, 20, seed=3, reference_nm=1309.5)
+    mean = _mean_rotation(ch, spec, 201)
+    monkeypatch.setattr(fiberqkd.channel, "apply_channel_rows", counting)
+    for label in ("H", "V", "D", "A", "L", "R"):
+        s = stokes_of(label)
+        assert qber_from_pmd(s, ch, spec) == 0.5 * (1.0 - s @ mean @ s)
+    assert qber_from_pmd(np.array(list(PROTOCOL_STATES.values())), ch, spec,
+                         n_samples=301).shape == (4,)
+    assert rows == [3 * 201] * 6 + [3 * 301]
 
 
 def test_trajectory_csv_round_trip(tmp_path):

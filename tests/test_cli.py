@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,9 +279,11 @@ def test_exit_code_one_on_bad_loss_bounds(capsys, bound):
 @pytest.mark.parametrize("bounds", [
     ["--start", "1300", "--stop", "inf"],
     ["--start", "nan", "--stop", "1310"],
-], ids=["stop-inf", "start-nan"])
+    ["--start", "1e-310", "--stop", "1e-309"],
+], ids=["stop-inf", "start-nan", "subnormal"])
 def test_exit_code_one_on_bad_sweep_bounds(capsys, bounds):
-    """A sweep runs over a finite positive band: no infinite wavelengths or NaN rows."""
+    """A sweep runs over a finite positive band whose detunings are finite:
+    no infinite wavelengths, NaN rows or overflow warnings."""
     code, out, err = _run_capturing(capsys, ["pmd", "sweep", "--scenario", "deployed-3p5km",
                                              "--points", "3"] + bounds)
     assert (code, out) == (1, "")
@@ -478,6 +481,23 @@ def test_exit_code_one_on_pulses_beyond_the_slot_arithmetic(capsys, pulses, extr
     assert out == ""
     assert err == ("error: need at most 35184237871614 pulses, the int64 slot "
                    f"arithmetic's bound, got {pulses}\n")
+
+
+def test_exit_code_one_on_more_windows_than_the_table_holds(capsys):
+    """A session of one slot per window is refused before its window table
+    is allocated: not a MemoryError for 509 TiB of windows."""
+    tracemalloc.start()
+    try:
+        code, out, err = _run_capturing(capsys, [
+            "simulate", "--scenario", "deployed-3p5km", "--seed", "1",
+            "--pulses", "35000000000000", "--window-s", "1e-8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error: --window-s 1e-08 splits 35000000000000 pulses into "
+                   "35000000000000 windows, more than 1048576\n")
+    assert peak < 2**24  # the 16 MiB of a table at the limit
 
 
 def _with(value, *keys):

@@ -104,6 +104,17 @@ def test_sent_multiphoton_share():
 
 
 _FROZEN_PLANNING = {
+    "deployed-3p5km": dict(p_det=3.374001006184457e-05, e_key=0.014875955876016178,
+                           e_check=0.04792731077640118, qber_pooled=0.031401633326208676,
+                           e_pol_da=5.685290856838332e-05, e_pol_lr=0.034117828827360974),
+    "spool-32p5km": dict(p_det=6.4290263309674245e-06, e_key=0.05252297246105711,
+                         e_check=0.06611257791456418, qber_pooled=0.059317775187810645,
+                         e_pol_da=0.014088579366040743, e_pol_lr=0.02884541398632512),
+}
+
+# The same inputs when each protocol state had its own spectral quadrature,
+# before the channel entered through one spectral-mean rotation.
+_PER_STATE_QUADRATURE_PLANNING = {
     "deployed-3p5km": dict(p_det=3.374001006184457e-05, e_key=0.014875955876015923,
                            e_check=0.04792731077640113, qber_pooled=0.031401633326208524,
                            e_pol_da=5.685290856812337e-05, e_pol_lr=0.034117828827360926),
@@ -114,13 +125,20 @@ _FROZEN_PLANNING = {
 
 
 def test_planning_inputs_summary():
-    """Frozen to the bit on both bundled links: the calibration, the
-    quadrature and the rate model each have one implementation, and
-    rewriting one must not move a bit."""
+    """Frozen to the bit on both bundled links, so that a rewrite of the
+    calibration, the channel average or the rate model that moves a bit is
+    seen and declared. The error rates stay within rounding of the per-state
+    quadrature that the spectral-mean rotation replaced: 4e-16 absolute, and
+    1e-13 relative on the pooled error."""
     for name, frozen in _FROZEN_PLANNING.items():
         pi = planning_inputs(load_scenario(name))
         assert pi == dict(frozen, rep_rate_hz=80e6, p_multi=1.6315506950474052e-09,
                           bob_key_share=0.5)
+        before = _PER_STATE_QUADRATURE_PLANNING[name]
+        assert pi["p_det"] == before["p_det"]
+        for key in ("e_pol_da", "e_pol_lr", "e_key", "e_check"):
+            assert abs(pi[key] - before[key]) <= 4e-16, (name, key)
+        assert pi["qber_pooled"] == pytest.approx(before["qber_pooled"], rel=1e-13, abs=0.0)
         # pooled error sits between the per-basis values
         assert pi["e_key"] < pi["qber_pooled"] < pi["e_check"]
 

@@ -89,7 +89,6 @@ def test_readme_dotted_names_resolve():
 # Public names that no module of the package uses, each kept for a caller
 # outside it.
 _USED_OUTSIDE_THE_PACKAGE = {
-    "polarization.rotate": "the scalar oracle the row kernel and the channel are tested against",
     "config.scenario_from_dict": "perfbench/workloads.py builds its scenarios with it",
     "emitter.g2_of_delay": "tests/test_acceptance.py draws its CW histogram from it",
     "keyrate.expected_tally": "tests/test_acceptance.py plans its finite-key counts with it",

@@ -11,17 +11,27 @@ from fiberqkd.polarization import (
     DETECTOR_ORDER,
     MODULATOR_PHASE,
     PROTOCOL_STATES,
+    _rodrigues,
     cross,
     normalize,
     perpendicular_unit,
     phase_to_state,
     random_units,
     require_unit,
-    rotate,
     rotate_rows,
     rotation_taking,
     stokes_of,
 )
+
+
+def rotate(state, axis, angle: float) -> np.ndarray:
+    """Rotate a Stokes vector about ``axis`` by ``angle`` (right-hand rule).
+
+    The scalar oracle that the row kernel and the channel are tested
+    against: the package's Rodrigues step on checked unit vectors,
+    renormalized afterwards.
+    """
+    return _rodrigues(require_unit(state, "state"), require_unit(axis, "axis"), angle)
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
