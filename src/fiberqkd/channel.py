@@ -216,25 +216,17 @@ def align_first_order_axis(channel: FiberChannel, target) -> FiberChannel:
     ``target`` is a cardinal-state label or a unit vector. Useful for pinning
     a synthesized channel's principal states onto a chosen encoder basis.
 
-    All axes turn at once in the operation order of ``_rodrigues``. The dot
-    products and norms are numpy dots taken row by row, because a
-    matrix-vector product sums in another order and moves the last bits of
-    some axes.
+    Each axis turns through :func:`~fiberqkd.polarization._rodrigues`, the one
+    Rodrigues step of the package.
     """
     goal = stokes_of(target) if isinstance(target, str) else require_unit(target, "target")
     pmd = first_order_pmd(channel)
     if pmd.dgd_ps == 0.0:
         raise ValidationError("channel has no first-order PMD to align")
     axis, angle = rotation_taking(np.array(pmd.axis), goal)
-    axes = np.array([seg.axis for seg in channel.segments])
-    c = np.cos(angle)
-    dots = np.array([axis @ p for p in axes])
-    turned = axes * c + cross(axis, axes) * np.sin(angle) + axis * dots[:, None] * (1.0 - c)
-    norms = np.array([math.sqrt(p.dot(p)) for p in turned])
-    turned /= norms[:, None]
     rotated = tuple(
-        FiberSegment(axis=tuple(p), dgd_ps=seg.dgd_ps)
-        for seg, p in zip(channel.segments, turned)
+        FiberSegment(axis=tuple(_rodrigues(np.array(seg.axis), axis, angle)), dgd_ps=seg.dgd_ps)
+        for seg in channel.segments
     )
     return replace(channel, segments=rotated)
 
@@ -410,8 +402,12 @@ def estimate_dgd(central_angle_rad: float, span_nm: float, center_nm: float) -> 
     hi = center_nm + 0.5 * span_nm
     if lo <= 0.0:
         raise ValidationError("sweep extends to non-physical wavelengths")
-    width = abs(delta_omega(hi, lo))
-    return float(central_angle_rad / width)
+    width = float(abs(delta_omega(hi, lo)))  # zero when the span is below the center's ulp
+    dgd = float(central_angle_rad) / width if width > 0.0 else math.inf
+    if not math.isfinite(dgd):
+        raise ValidationError(f"sweep span {span_nm} nm at center {center_nm} nm is below the "
+                              "float resolution of the delay estimate")
+    return dgd
 
 
 def _mean_rotation(channel: FiberChannel, spectrum, n_samples: int) -> np.ndarray:

@@ -17,7 +17,6 @@ import it.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from importlib import resources
@@ -170,13 +169,12 @@ def read_float_table(path, columns: Sequence[str], what: str) -> np.ndarray:
 
 def csv_text(columns: Sequence[str], rows) -> str:
     """A CSV under the header ``columns``: floats in repr, read back exactly
-    by ``read_float_table``, and other cells as ``str`` gives them."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    by ``read_float_table``, and other cells as ``str`` gives them. Cells are
+    joined unquoted, so none may hold a comma, a quote or a line break."""
+    lines = [",".join(columns)]
     for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 PATTERN_FORMATS = ("auto", "hex", "binary")

@@ -97,15 +97,13 @@ def _cross(a, b):
 
 
 def cross(a, b) -> np.ndarray:
-    """Cross product ``a x b`` of a 3-vector ``a`` and a 3-vector or (n, 3) rows ``b``.
+    """Cross product ``a x b`` of two 3-vectors.
 
-    Written out per component, on Python floats for a single vector and on
-    columns for rows, which gives ``np.cross``'s bits without its generic axis
-    handling.
+    Written out per component on Python floats, which gives ``np.cross``'s
+    bits without its generic axis handling.
     """
-    b = np.asarray(b, dtype=float)
-    cols = b.T if b.ndim == 2 else b.tolist()
-    return np.array(_cross(np.asarray(a, dtype=float).tolist(), cols)).T
+    return np.array(_cross(np.asarray(a, dtype=float).tolist(),
+                           np.asarray(b, dtype=float).tolist()))
 
 
 def _rodrigues(s: np.ndarray, a: np.ndarray, angle) -> np.ndarray:
@@ -121,10 +119,7 @@ def _rodrigues(s: np.ndarray, a: np.ndarray, angle) -> np.ndarray:
     w = 1.0 - c
     d = float(a.dot(s))
     sv, av = s.tolist(), a.tolist()
-    out = np.array([
-        si * c + xi * sin + ai * d * w for si, xi, ai in zip(sv, _cross(av, sv), av)
-    ])
-    return out / math.sqrt(out.dot(out))
+    return normalize([si * c + xi * sin + ai * d * w for si, xi, ai in zip(sv, _cross(av, sv), av)])
 
 
 def _unit_rows(axes) -> np.ndarray:

@@ -9,10 +9,11 @@ clicks. Dark counts fire independently on every detector each slot. Slots
 with exactly one click in the transmitter's basis survive sifting; double
 clicks follow a configurable policy and cross-basis coincidences are always
 discarded. ``classify`` is the only place these sifting rules live:
-``run_session`` and the offline ``sift`` both call it. The offline ``sift``
-makes one validating pass over its records, then calls ``classify`` once on
-the few dozen distinct (basis, bit, detectors) kinds it met and, under the
-``random`` policy, once more on the double-click records alone.
+``run_session`` and the offline ``sift`` both call it. A record is one of 64
+kinds, 4 states times 16 click masks, built once at import as ``_KINDS``;
+the offline ``sift`` maps each record to its kind with one lookup, then calls
+``classify`` once on the 60 clicked kinds and, under the ``random`` policy,
+once more on the double-click records alone.
 
 ``run_session`` is an event-driven Monte Carlo: geometric gaps skip the
 slots where nothing clicks, and only the clicked slots are drawn, in
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,13 +47,23 @@ _MAX_PULSES = 2**63 // (_EVENT_CHUNK + 1) - 1
 _MAX_WINDOWS = 1 << 20
 
 _BASIS_LABELS = ("DA", "LR")
-_BASIS_INDEX = {label: i for i, label in enumerate(_BASIS_LABELS)}
-_DETECTOR_FLAG = {det: 1 << i for i, det in enumerate(DETECTOR_ORDER)}
-_FLAGS = np.array(list(_DETECTOR_FLAG.values()))
+_FLAGS = 1 << np.arange(len(DETECTOR_ORDER))
 # Detector labels, in DETECTOR_ORDER, of each of the 16 click masks.
 _MASK_LABELS = tuple(
-    tuple(det for det, flag in _DETECTOR_FLAG.items() if mask & flag) for mask in range(16)
+    tuple(det for i, det in enumerate(DETECTOR_ORDER) if mask >> i & 1) for mask in range(16)
 )
+# Every kind of record, (basis index, bit, click mask), in row 16 * (2 * basis + bit) + mask,
+# and the row of each well-formed (basis label, bit, detector labels) record: labels in
+# any of the 65 orderings of distinct detectors, 260 keys in all.
+_KINDS = np.array([(row >> 5, row >> 4 & 1, row & 15) for row in range(64)])
+_KINDS.flags.writeable = False
+_KIND_ROW = {
+    (label, bit, order): 16 * (2 * basis + bit) + mask
+    for basis, label in enumerate(_BASIS_LABELS)
+    for bit in (0, 1)
+    for mask, labels in enumerate(_MASK_LABELS)
+    for order in permutations(labels)
+}
 # Read-only Stokes vectors of the protocol states; row 2 * basis + bit.
 _STATE_STOKES = np.array([PROTOCOL_STATES[label] for label in DETECTOR_ORDER])
 _STATE_STOKES.flags.writeable = False
@@ -315,24 +327,16 @@ def _sift_result(counts: np.ndarray, n_pulses: int, key_basis: str) -> SiftResul
     )
 
 
-def _record_kind(
-    slot: int, basis: str, bit: int, detections: Sequence[str]
-) -> tuple[int, int, int]:
-    """Basis index, bit and detector bit mask of one record; raises if malformed."""
-    basis_idx = _BASIS_INDEX.get(basis)
-    if basis_idx is None:
+def _record_kind(slot: int, basis: str, bit: int, detections: Sequence[str]) -> int:
+    """Row of one record in ``_KINDS``; raises if the record is malformed."""
+    if basis not in _BASIS_LABELS:
         raise ValidationError(f"unknown basis label {basis!r}")
     if bit not in (0, 1):
         raise ValidationError(f"slot {slot}: bit must be 0 or 1, got {bit!r}")
-    mask = 0
-    for det in detections:
-        flag = _DETECTOR_FLAG.get(det, 0)
-        if not flag or flag & mask:
-            raise ValidationError(
-                f"slot {slot}: unknown or repeated detector label in {detections!r}"
-            )
-        mask |= flag
-    return basis_idx, bit, mask
+    row = _KIND_ROW.get((basis, int(bit), tuple(detections)))
+    if row is None:
+        raise ValidationError(f"slot {slot}: unknown or repeated detector label in {detections!r}")
+    return row
 
 
 def sift(
@@ -351,11 +355,13 @@ def sift(
     through :func:`classify`. ``n_pulses`` defaults to the record count,
     which is only right when every slot is present; it must be a whole number.
 
-    Cost: one validating Python pass maps each record to its (basis, bit,
-    detectors) kind, and ``classify`` runs once per distinct kind, weighted
-    by how often the kind occurs. Under the ``random`` policy it runs once
-    more over the double-click records, in record order, so the generator
-    draws the same bits as a record-by-record pass.
+    Cost: one Python pass maps each record to its row of ``_KINDS`` with one
+    dict lookup; only a miss, a malformed record or labels in a container
+    other than a tuple, is checked field by field. One ``np.bincount``
+    counts the rows, and ``classify`` runs once on the 60 clicked kinds,
+    weighted by those counts. Under the ``random`` policy it runs once more
+    over the double-click records, in record order, so the generator draws
+    the same bits as a record-by-record pass.
     """
     if key_basis not in BASIS_STATES:
         raise ValidationError(f"unknown key basis {key_basis!r}")
@@ -374,45 +380,28 @@ def sift(
             raise ValidationError(f"n_pulses must be a whole number, got {n_pulses!r}")
         if n_pulses < len(alice):
             raise ValidationError("n_pulses cannot undercount the supplied records")
-    # Records repeat a few dozen (basis, bit, detections) kinds: each kind is
-    # checked when first met, so the first malformed record raises, and every
-    # record becomes the index of its kind.
-    kinds: dict[tuple, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    codes: list[int] = []
-    kind_of = kinds.get
-    append = codes.append
+    rows = bytearray()  # each record's row of _KINDS, which fits in a byte
+    append = rows.append
+    kind_row = _KIND_ROW
     for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
         if slot_a != slot_b:
             raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
-        key = (basis, bit, detections)
         try:
-            code = kind_of(key)
-        except TypeError:  # an unhashable field, such as a list of labels
-            code = key = None
-        if code is None:
-            code = len(rows)
-            rows.append(_record_kind(slot_a, basis, bit, detections))
-            if key is not None:
-                kinds[key] = code
-        append(code)
+            append(kind_row[basis, bit, detections])
+        except (KeyError, TypeError):  # a malformed record, or labels in a list
+            append(_record_kind(slot_a, basis, bit, detections))
     _check_policy(policy)
-    codes = np.array(codes, dtype=np.intp)
-    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    clicked = table[:, 2] != 0
-    alice_basis = table[clicked, 0]
-    clicks = (table[clicked, 2:] & _FLAGS) != 0
-    outcomes = classify(alice_basis, table[clicked, 1], clicks, "discard", None)
-    counts = _tally(alice_basis, outcomes, np.bincount(codes, minlength=len(rows))[clicked])
-    if policy == "random" and (outcomes == DOUBLE).any():
+    rows = np.frombuffer(rows, dtype=np.uint8)
+    clicked = np.flatnonzero(_KINDS[:, 2])
+    basis, bits, masks = _KINDS[clicked].T
+    outcomes = classify(basis, bits, (masks[:, None] & _FLAGS) != 0, "discard", None)
+    counts = _tally(basis, outcomes, np.bincount(rows, minlength=len(_KINDS))[clicked])
+    if policy == "random":
         # Resolve the double clicks record by record, in record order.
-        double = np.zeros(len(rows), dtype=bool)
-        double[np.flatnonzero(clicked)[outcomes == DOUBLE]] = True
-        table = table[codes[double[codes]]]
-        clicks = (table[:, 2:] & _FLAGS) != 0
-        resolved = classify(table[:, 0], table[:, 1], clicks, policy, rng)
+        basis, bits, masks = _KINDS[rows[np.isin(rows, clicked[outcomes == DOUBLE])]].T
+        resolved = classify(basis, bits, (masks[:, None] & _FLAGS) != 0, policy, rng)
         counts[2 * DOUBLE : 2 * DOUBLE + 2] = 0
-        counts += _tally(table[:, 0], resolved)
+        counts += _tally(basis, resolved)
     return _sift_result(counts, n_pulses, key_basis)
 
 

@@ -365,10 +365,10 @@ def test_align_first_order_axis():
     assert fo.dgd_ps == pytest.approx(first_order_pmd(ch).dgd_ps, rel=1e-12)
 
 
-def _align_by_scalar_rotations(channel, target):
-    """Segment axes after alignment, one scalar rotate call per segment."""
+def _align_by_np_cross_rotations(channel, target):
+    """Segment axes after alignment, one np.cross rotation per segment."""
     axis, angle = rotation_taking(np.array(first_order_pmd(channel).axis), stokes_of(target))
-    return [tuple(rotate(np.array(seg.axis), axis, angle)) for seg in channel.segments]
+    return [tuple(_rotate_cross(np.array(seg.axis), axis, angle)) for seg in channel.segments]
 
 
 def test_align_first_order_axis_matches_scalar_rotations():
@@ -376,7 +376,8 @@ def test_align_first_order_axis_matches_scalar_rotations():
         ch = synthesize_channel(0.3, 8.0, 20, seed=seed)
         for target in ("D", "L", "H"):
             aligned = align_first_order_axis(ch, target)
-            assert [seg.axis for seg in aligned.segments] == _align_by_scalar_rotations(ch, target)
+            expected = _align_by_np_cross_rotations(ch, target)
+            assert [seg.axis for seg in aligned.segments] == expected
             assert [seg.dgd_ps for seg in aligned.segments] == [seg.dgd_ps for seg in ch.segments]
 
 
@@ -442,6 +443,27 @@ def test_arc_fit_handles_measurement_noise():
     fit = fit_arc(noisy)
     assert fit.rms_residual_rad > 0.0
     assert estimate_dgd(fit.central_angle_rad, 7.0, 1310.0) == pytest.approx(0.117, rel=0.05)
+
+
+def test_arc_fit_recovers_the_delay_of_short_noisy_arcs():
+    """200 single 0.05 ps segments on random axes, each probed by the cardinal
+    state farthest from its axis line and swept with 64 points over the
+    deployed link's 1306-1313 nm band, a 22 degree arc, with Gaussian noise of
+    0.01 on each Stokes component. The delay from the rotation angle has a
+    relative rms error of 0.103 (0.075-0.097 on ten other generator seeds).
+    With ``fit_arc`` keeping the plane fit's seed (``axis = seed_axis`` in
+    place of the refinement) it is 5.3."""
+    rng = np.random.default_rng(59)
+    errors = []
+    for _ in range(200):
+        axis = random_unit(rng)
+        probe = min(map(stokes_of, "HDL"), key=lambda s: abs(s @ axis))
+        ch = single_segment(dgd_ps=0.05, axis=tuple(axis), reference_nm=1309.5)
+        traj = sweep_trajectory(ch, probe, 1306.0, 1313.0, 64)
+        traj[:, 1:] += 0.01 * rng.standard_normal((64, 3))
+        traj[:, 1:] /= np.linalg.norm(traj[:, 1:], axis=1, keepdims=True)
+        errors.append(estimate_dgd(fit_arc(traj).rotation_angle_rad, 7.0, 1309.5) / 0.05 - 1.0)
+    assert math.sqrt(np.mean(np.square(errors))) < 0.2
 
 
 def test_arc_fit_degenerate_cases():

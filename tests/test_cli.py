@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,21 @@ def test_exit_code_one_on_non_finite_estimate_inputs(capsys, flag, value):
     code, out, err = _run_capturing(capsys, argv)
     assert (code, out) == (1, "")
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("angle, span, center", [("10", "1", "1e20"), ("0", "1", "1e30"),
+                                                 ("10", "1e295", "1e307")])
+def test_exit_code_one_on_a_span_below_the_float_resolution(capsys, angle, span, center):
+    """A span whose end wavelengths round to one detuning, or whose width
+    leaves an overflowing delay, is an input error naming the span and the
+    center, also when warnings are errors (``python -W error``)."""
+    argv = ["pmd", "estimate", "--central-angle-deg", angle, "--span-nm", span,
+            "--center-nm", center]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_capturing(capsys, argv)
+    assert (code, out) == (1, "")
+    assert f"sweep span {float(span)} nm at center {float(center)} nm" in err
 
 
 def test_exit_code_one_on_negative_simulate_seed(capsys):

@@ -90,24 +90,36 @@ def test_readme_dotted_names_resolve():
 # outside it.
 _USED_OUTSIDE_THE_PACKAGE = {
     "config.scenario_from_dict": "perfbench/workloads.py builds its scenarios with it",
+    "emitter.PhotonStatistics.p_vacuum": "perfbench/reference.py's slot_model reads it",
     "emitter.g2_of_delay": "tests/test_acceptance.py draws its CW histogram from it",
     "keyrate.expected_tally": "tests/test_acceptance.py plans its finite-key counts with it",
 }
 
 
+def _public_definitions(tree):
+    """(dotted name, name) of each public top-level function and class, and of
+    each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_public_function_and_class_is_used_in_the_package():
-    """A public top-level function or class that only its own tests call is
-    deleted, not maintained: some module must reference it by name."""
+    """A public top-level function or class, or a public method or property of
+    a public class, that only its own tests use is deleted, not maintained:
+    some module must reference it by name."""
     defined, used = set(), set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))
-        defined.update((path.stem, node.name) for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not node.name.startswith("_"))
+        defined.update((f"{path.stem}.{dotted}", name)
+                       for dotted, name in _public_definitions(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = {f"{module}.{name}" for module, name in defined if name not in used}
+    unused = {dotted for dotted, name in defined if name not in used}
     assert unused == set(_USED_OUTSIDE_THE_PACKAGE)

@@ -313,14 +313,6 @@ def test_cross_products_equal_the_np_cross_forms(pair):
     assert angle == oracle_angle
 
 
-def test_cross_of_rows_equals_np_cross():
-    rng = np.random.default_rng(4)
-    rows = rng.normal(size=(500, 3))
-    a = random_unit(rng)
-    assert np.array_equal(cross(a, rows), np.cross(a, rows))
-    assert np.array_equal(cross(a, rows[:0]), np.empty((0, 3)))
-
-
 def test_normalize_equals_linalg_norm_division():
     rng = np.random.default_rng(6)
     for v in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-5, 5, size=(200, 1)):

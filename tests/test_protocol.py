@@ -192,20 +192,36 @@ def test_sift_validation():
         sift(shuffled, BOB)
     with pytest.raises(ValidationError):
         sift(ALICE, BOB, n_pulses=4)  # fewer pulses than records
-    for alice, bob in (
-        ([(0, "DA", 0)], [(0, ("X",))]),  # unknown detector label
-        ([(0, "DA", 0)], [(0, ("D", "D"))]),  # one detector reported twice
-        ([(0, "DA", 7)], [(0, ("D",))]),  # bit outside {0, 1}
+    for alice, bob, message in (
+        ([(0, "DA", 0)], [(0, ("X",))], "slot 0: unknown or repeated detector label in ('X',)"),
+        ([(0, "DA", 0)], [(0, ("D", "D"))],
+         "slot 0: unknown or repeated detector label in ('D', 'D')"),
+        ([(4, "LR", 1)], [(4, ["R", "L", "R"])],
+         "slot 4: unknown or repeated detector label in ['R', 'L', 'R']"),
+        ([(4, "LR", True)], [(4, ["L", "x"])],
+         "slot 4: unknown or repeated detector label in ['L', 'x']"),
+        ([(0, "DA", 7)], [(0, ("D",))], "slot 0: bit must be 0 or 1, got 7"),
+        ([(0, "DA", 2)], [(0, ["D"])], "slot 0: bit must be 0 or 1, got 2"),
+        ([(0, "HV", 0)], [(0, ("D",))], "unknown basis label 'HV'"),
     ):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             sift(alice, bob)
-
+        assert str(err.value) == message
+    # Other spellings of the same records sift alike: labels in reverse order
+    # or in a list, and a bit of one given as True, 1.0 or np.int64(1).
+    for one, spell in product((True, 1.0, np.int64(1)), (tuple, list)):
+        alice = [(slot, basis, one if bit else bit) for slot, basis, bit in ALICE]
+        bob = [(slot, spell(labels[::-1])) for slot, labels in BOB]
+        assert sift(alice, bob) == sift(ALICE, BOB)
+        assert (sift(alice, bob, policy="random", rng=np.random.default_rng(2))
+                == sift(ALICE, BOB, policy="random", rng=np.random.default_rng(2)))
 
 
 def reference_sift_counts(alice, bob, policy, rng):
-    """The sifting loop written out one record at a time, as outcome counts."""
+    """The sifting loop written out one record at a time, as outcome counts:
+    each clicked record goes through ``classify`` on its own, in order."""
     flag = {det: 1 << i for i, det in enumerate(DETECTOR_ORDER)}
-    rows = []
+    counts = np.zeros((5, 2), dtype=np.int64)
     for (slot_a, basis, bit), (slot_b, detections) in zip(alice, bob):
         if slot_a != slot_b:
             raise ValidationError(f"slot mismatch: {slot_a} vs {slot_b}")
@@ -221,11 +237,11 @@ def reference_sift_counts(alice, bob, policy, rng):
                 )
             mask |= flag[det]
         if mask:
-            rows.append((0 if basis == "DA" else 1, bit, mask))
-    basis, bits, masks = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    clicks = (masks[:, None] & [1, 2, 4, 8]) != 0
-    outcomes = classify(basis, bits, clicks, policy, rng)
-    return np.bincount(2 * outcomes + basis, minlength=10).reshape(5, 2)
+            b = 0 if basis == "DA" else 1
+            clicks = np.array([[mask >> k & 1 for k in range(4)]], dtype=bool)
+            (outcome,) = classify(np.array([b]), np.array([int(bit)]), clicks, policy, rng)
+            counts[outcome, b] += 1
+    return counts
 
 
 def random_records(rng, n):
@@ -329,20 +345,23 @@ def test_sift_n_pulses_must_be_a_whole_number(n_pulses):
         sift(ALICE, BOB, n_pulses=n_pulses)
 
 
-# (basis, bit, detector labels, labels given as a list) of one record
+# (basis, bit, the bit's type, detector labels in any order, given as a list) of one record
 record_kinds = st.tuples(st.sampled_from(("DA", "LR")), st.integers(0, 1),
-                         st.sampled_from([(), *CLICK_SETS]), st.booleans())
+                         st.sampled_from((int, bool, float, np.int64)),
+                         st.sampled_from([(), *CLICK_SETS]).flatmap(st.permutations),
+                         st.booleans())
 
 
 @pytest.mark.parametrize("policy", ["discard", "random"])
 @settings(max_examples=80, deadline=None)
 @given(kinds=st.lists(record_kinds, max_size=120), seed=st.integers(0, 2**32 - 1))
 def test_sift_equals_the_reference_on_any_records(policy, kinds, seed):
-    """Records given as generators, with some labels as lists, sift to the
-    reference counts and consume the same generator draws."""
-    alice = [(slot, basis, bit) for slot, (basis, bit, _, _) in enumerate(kinds)]
-    bob = [(slot, list(labels) if listed else labels)
-           for slot, (_, _, labels, listed) in enumerate(kinds)]
+    """Records given as generators, with labels in any order, some as lists,
+    and bits as int, bool, float or np.int64, sift to the record-by-record
+    reference's counts and consume the same generator draws."""
+    alice = [(slot, basis, kind(bit)) for slot, (basis, bit, kind, _, _) in enumerate(kinds)]
+    bob = [(slot, list(labels) if listed else tuple(labels))
+           for slot, (_, _, _, labels, listed) in enumerate(kinds)]
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     res = sift(iter(alice), (record for record in bob), policy=policy, rng=rng)
     c = reference_sift_counts(alice, bob, policy, reference)
